@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   const bool study_match = study_ref.work_units == study_fast.work_units &&
                            study_ref.screen_failures == study_fast.screen_failures;
 
-  std::printf("# hotpath — end-to-end: %zu machines, %d days, serial engine, median of %d\n",
+  std::printf("# hotpath — end-to-end: %zu machines, %d days, 1 shard, median of %d\n",
               machines, days, repeats);
   std::printf("%-24s %12s %16s %10s\n", "config", "wall_s", "work_units/sec", "speedup");
   std::printf("%-24s %12.3f %16.0f %9.2fx\n", "reference path", study_ref_s,

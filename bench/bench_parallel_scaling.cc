@@ -3,11 +3,11 @@
 // Two sections:
 //
 //   1. Thread ladder: one fleet study at a fixed shard count across a ladder of thread
-//      counts, reporting wall-clock speedup over (a) the legacy serial engine (shards=1) and
-//      (b) the sharded engine at threads=1. The engine is bit-deterministic in the shard
-//      count and independent of the thread count, so every ladder row computes the *same*
-//      StudyReport — the work-unit total is printed per row so a scheduling bug that drops
-//      work shows up immediately.
+//      counts, reporting wall-clock speedup over (a) the same engine on one shard (shards=1)
+//      and (b) the ladder's shard count at threads=1. The engine is bit-deterministic in the
+//      shard count and independent of the thread count, so every row at the ladder's shard
+//      count computes the *same* StudyReport — the work-unit total is printed per row so a
+//      scheduling bug that drops work shows up immediately.
 //
 //   2. Sparse vs dense: a large healthy-heavy fleet (--big-machines at the default product
 //      mix is >= 100k cores; mercurial incidence at the paper's natural "few per thousand
@@ -226,8 +226,8 @@ int main(int argc, char** argv) {
       machines, days, shards, hw, repeats);
 
   std::vector<LadderRow> rows;
-  rows.push_back(RunRow("serial (legacy engine)", base, /*shards=*/1, /*threads=*/1,
-                        /*sparse=*/true, repeats, hw));
+  rows.push_back(RunRow("1 shard t=1", base, /*shards=*/1, /*threads=*/1, /*sparse=*/true,
+                        repeats, hw));
   for (const int threads : {1, 2, 4}) {
     rows.push_back(RunRow("sharded t=" + std::to_string(threads), base, shards, threads,
                           /*sparse=*/true, repeats, hw));
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
   }
 
   // Determinism cross-check: all sharded rows must agree with each other (thread-count
-  // invariance); the serial row is a different stream layout and may legitimately differ.
+  // invariance); the 1-shard row is a different stream layout and may legitimately differ.
   bool deterministic = true;
   for (size_t i = 2; i < rows.size(); ++i) {
     if (!RowsBitConsistent(rows[i], rows[1])) {

@@ -40,7 +40,7 @@ struct FleetStudy::ShardDelta {
   std::vector<PendingHumanReport> human_reports;
   MetricRegistry metrics;                    // counter increments only
   BlastRadiusLedger ledger;                  // provenance tags (audit-enabled studies only)
-  ShardScreenOutcome screen;
+  ShardScreenOutcome screen;                 // replaced, not reset, by each tick's TickShard
 
   // Hot-counter handles, resolved once per pooled buffer instead of once per event.
   MetricId crash_id = metrics.Intern("signals.crash");
@@ -63,10 +63,6 @@ struct FleetStudy::ShardDelta {
     human_reports.clear();
     metrics.ResetForReuse();
     ledger.Clear();
-    screen.stats = ScreeningTickStats{};
-    screen.failures.clear();
-    screen.offline_drained.clear();
-    screen.drained_tiers.clear();
   }
 };
 
@@ -84,7 +80,6 @@ FleetStudy::FleetStudy(StudyOptions options)
       // bit-identical across the refactor; the control stream is new and untouched at defaults.
       control_plane_(options.control_plane, options.quarantine, rng_.Split(0x9a44),
                      rng_.Split(0xc0a1)),
-      corpus_(BuildStandardCorpus(options.workload)),
       // The repair stream is a fresh Split label: Split is a pure function of (parent
       // identity, label) and never advances the parent, so adding it leaves every existing
       // stream untouched — a disabled audit is bit-invisible.
@@ -123,7 +118,7 @@ FleetStudy::FleetStudy(StudyOptions options)
     // their weak confession named. The profile table is index-aligned with the corpus (one
     // profile per WorkloadKind, in enum order).
     placement_profiles_ = PlacementPlanner::StandardProfiles();
-    MERCURIAL_CHECK_EQ(placement_profiles_.size(), corpus_.size());
+    MERCURIAL_CHECK_EQ(placement_profiles_.size(), static_cast<size_t>(kWorkloadKindCount));
   }
 
   if (options_.screening.adaptive) {
@@ -382,14 +377,7 @@ void FleetStudy::ApplyShardDelta(ShardDelta& delta) {
 void FleetStudy::ApplyScreenOutcome(SimTime now, const ShardScreenOutcome& outcome) {
   // Offline screens owe the scheduler a drain (migration costs) and a release back to
   // service; replayed here in shard order so cost accounting is thread-count independent.
-  // Adaptive screens also carry their risk tier for the per-tier drain breakdown.
-  for (size_t i = 0; i < outcome.offline_drained.size(); ++i) {
-    scheduler_.Drain(outcome.offline_drained[i]);
-    if (!outcome.drained_tiers.empty()) {
-      scheduler_.NoteScreenDrainTier(outcome.drained_tiers[i]);
-    }
-    scheduler_.Release(outcome.offline_drained[i]);
-  }
+  outcome.ApplyDrains(scheduler_);
   for (const Signal& signal : outcome.failures) {
     auto_series_->Add(now, 1.0);
     metrics_.Increment(screen_fail_id_);
@@ -490,61 +478,8 @@ void FleetStudy::RunBurnIn() {
   burn_in.Tick(SimTime::Seconds(0), options_.tick, fleet_, scheduler_, emit);
 }
 
-void FleetStudy::RunTicksSerial(
-    SimClock& clock, int64_t ticks,
-    const std::unordered_map<uint64_t, SimTime>& activation_time) {
-  // The serial engine is the legacy draw order: one persistent stream (rng_) drives
-  // production, then noise, across the whole fleet. Effects are buffered and applied at
-  // the end of the stage pair; nothing inside the stages reads the affected services, so
-  // this is bit-identical to applying them inline. The delta buffer is pooled across ticks
-  // (clear-and-reuse keeps its vectors' capacity and interned metric handles).
-  const bool sparse = options_.sparse_engine;
-  ShardDelta delta;
-  for (int64_t t = 0; t < ticks; ++t) {
-    clock.Advance(options_.tick);
-    const SimTime now = clock.now();
-    fleet_.SetAges(now);
-    if (trace_ != nullptr) {
-      trace_->SetTickContext(now, static_cast<uint64_t>(now.seconds() /
-                                                        options_.tick.seconds()));
-    }
-    if (sparse) {
-      active_index_.Advance(now);
-    }
-    if (screening_.adaptive()) {
-      // Serial plan phase: score due cores and fix this tick's screening admissions while
-      // scheduler state is frozen (it next changes in ProcessSuspects, after screening).
-      screening_.PlanAdaptiveTick(now, options_.tick, fleet_, scheduler_);
-    }
-
-    delta.Reset();
-    RunProductionShard(now, 0, fleet_.core_count(), rng_, corpus_, delta,
-                       sparse ? &active_index_.ActiveInShard(0) : nullptr);
-    EmitBackgroundNoiseShard(now, options_.tick, 0, fleet_.core_count(), rng_, delta);
-    ApplyShardDelta(delta);
-    FlushHumanReports(now);
-
-    const ScreeningTickStats screen_stats = screening_.Tick(
-        now, options_.tick, fleet_, scheduler_, [&](const Signal& signal) {
-          auto_series_->Add(now, 1.0);
-          metrics_.Increment(screen_fail_id_);
-          NoteSignalForAudit(signal);
-          control_plane_.Report(signal, service_);
-        });
-    report_.screen_failures += screen_stats.screen_failures;
-    report_.screening_ops += screen_stats.ops_spent;
-
-    ProcessSuspects(now, activation_time);
-    scheduler_.AccumulateStranding(options_.tick);
-    if (durability_ != nullptr) {
-      EndTickDurability(static_cast<uint64_t>(t));
-    }
-  }
-}
-
-void FleetStudy::RunTicksSharded(
-    SimClock& clock, int64_t ticks, int shards, int threads,
-    const std::unordered_map<uint64_t, SimTime>& activation_time) {
+void FleetStudy::RunTicks(SimClock& clock, int64_t ticks, int shards, int threads,
+                          const std::unordered_map<uint64_t, SimTime>& activation_time) {
   const std::vector<ShardRange> ranges = PartitionCores(fleet_.core_count(), shards);
 
   // Each shard owns a private corpus instance: Workload::Run mutates only core and rng state
@@ -1000,11 +935,7 @@ StudyReport FleetStudy::Run() {
   }
 
   const int64_t ticks = options_.duration.seconds() / options_.tick.seconds();
-  if (shards == 1) {
-    RunTicksSerial(clock, ticks, activation_time);
-  } else {
-    RunTicksSharded(clock, ticks, shards, threads, activation_time);
-  }
+  RunTicks(clock, ticks, shards, threads, activation_time);
 
   Finalize();
   return report_;

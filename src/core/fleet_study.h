@@ -12,16 +12,14 @@
 // and produces the metrics of §4, including the two normalized incident-rate series of Fig. 1.
 // Everything is deterministic under StudyOptions::seed.
 //
-// Execution engines. With shards == 1 (default) the study runs the original single-threaded
-// tick loop, preserving the legacy draw order bit-for-bit. With shards == K > 1 the fleet's
-// cores are partitioned into K contiguous shards; each tick, every shard independently runs
-// production work, background noise, and screening for its own cores, drawing all randomness
-// from a counter-based stream derived from (seed, shard, tick). Shard side effects are
-// buffered and merged serially in shard-index order at a tick barrier, then the global
-// suspect/quarantine pipeline runs serially. Because no shard reads another shard's writes
-// and the merge order is fixed, the StudyReport is bit-identical for ANY thread count
-// (threads <= shards); threads only changes wall-clock. See DESIGN.md,
-// "Decision: shard-stable randomness".
+// Execution engine. The fleet's cores are partitioned into `shards` contiguous shards (one
+// shard by default); each tick, every shard independently runs production work, background
+// noise, and screening for its own cores, drawing all randomness from a counter-based stream
+// derived from (seed, shard, tick). Shard side effects are buffered and merged serially in
+// shard-index order at a tick barrier, then the global suspect/quarantine pipeline runs
+// serially. Because no shard reads another shard's writes and the merge order is fixed, the
+// StudyReport is bit-identical for ANY thread count (threads <= shards); threads only changes
+// wall-clock. See DESIGN.md, "Decision: shard-stable randomness".
 
 #ifndef MERCURIAL_SRC_CORE_FLEET_STUDY_H_
 #define MERCURIAL_SRC_CORE_FLEET_STUDY_H_
@@ -104,9 +102,9 @@ struct StudyOptions {
 
   // Parallel execution. `shards` fixes the partition of cores into independent random
   // streams and is part of the experiment's identity: changing it changes (deterministically)
-  // which stream drives which core. shards == 1 is the legacy serial engine, bit-identical to
-  // the pre-sharding code. `threads` is purely an execution knob: the report is bit-identical
-  // for every threads value (clamped to [1, shards]).
+  // which stream drives which core. shards == 1 is a single shard on the same counter-keyed
+  // streams as any other count. `threads` is purely an execution knob: the report is
+  // bit-identical for every threads value (clamped to [1, shards]).
   int shards = 1;
   int threads = 1;
 
@@ -277,9 +275,7 @@ class FleetStudy {
   // Per-shard side-effect buffer; defined in fleet_study.cc.
   struct ShardDelta;
 
-  // Hot-path stages, parameterized over a core range and an explicit Rng so the same code
-  // serves both engines: the serial engine passes (0, core_count, rng_) and keeps the legacy
-  // stream; the sharded engine passes each shard's range and its counter-derived stream.
+  // Hot-path stages, parameterized over a shard's core range and its counter-derived Rng.
   // All side effects land in `delta`, never in shared state.
   // `active_cores` selects the engine: nullptr scans the full mercurial list with a range
   // filter (dense reference oracle); non-null is the sparse index's pre-partitioned slice of
@@ -309,7 +305,7 @@ class FleetStudy {
     }
   }
 
-  // Serial control-plane stages shared by both engines.
+  // Serial control-plane stages, run after each tick's merge barrier.
   void FlushHumanReports(SimTime now);
   void ProcessSuspects(SimTime now,
                        const std::unordered_map<uint64_t, SimTime>& activation_time);
@@ -325,18 +321,17 @@ class FleetStudy {
   // trace rings) in a fixed order and writes the initial snapshot. Called from Run() after
   // burn-in, so the journal's baseline is the deployed controller.
   void SetupDurability();
-  // End-of-tick journal append plus the chaos-driven crash check; runs in the serial phase of
-  // both engines, after the tick's last controller mutation. `t` is the 0-based tick index.
+  // End-of-tick journal append plus the chaos-driven crash check; runs in the serial phase,
+  // after the tick's last controller mutation. `t` is the 0-based tick index.
   void EndTickDurability(uint64_t t);
   // Kills and recovers the controller in place: optional chaos damage to the journal tail,
   // then Recover() overwrites all durable controller state from the journal and — when the
   // durable prefix fell short of the present — reconciles the books with the live fleet.
   void CrashAndRecoverController(uint64_t t, Rng& crash_rng);
 
-  void RunTicksSerial(SimClock& clock, int64_t ticks,
-                      const std::unordered_map<uint64_t, SimTime>& activation_time);
-  void RunTicksSharded(SimClock& clock, int64_t ticks, int shards, int threads,
-                       const std::unordered_map<uint64_t, SimTime>& activation_time);
+  // The tick loop: parallel shard phase, merge barrier, serial control plane.
+  void RunTicks(SimClock& clock, int64_t ticks, int shards, int threads,
+                const std::unordered_map<uint64_t, SimTime>& activation_time);
 
   StudyOptions options_;
   Rng rng_;
@@ -345,7 +340,6 @@ class FleetStudy {
   CeeReportService service_;
   ScreeningOrchestrator screening_;
   QuarantineControlPlane control_plane_;
-  std::vector<std::unique_ptr<Workload>> corpus_;
   MetricRegistry metrics_;
   // Hot-path telemetry handles into metrics_, resolved once at construction: screening
   // failures and user reports are per-event increments, so the name lookup is hoisted out of

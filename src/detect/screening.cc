@@ -442,8 +442,8 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
 
 bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool offline,
                                       uint64_t iterations, Fleet& fleet, Rng& rng,
-                                      const std::function<void(const Signal&)>& emit,
-                                      ScreeningTickStats& stats) {
+                                      ShardScreenOutcome& outcome) {
+  ScreeningTickStats& stats = outcome.stats;
   if (fleet.Healthy(core_index)) {
     // Fast path: a defect-free core cannot fail (sound per DESIGN.md decision 1); charge the
     // battery's cost without executing it. Fleet::Healthy is a write-through mirror the core
@@ -467,7 +467,7 @@ bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool off
   }
   ++stats.screen_failures;
   const CoreId id = fleet.core_id(core_index);
-  emit(Signal{now, id.machine, core_index, SignalType::kScreenFail});
+  outcome.failures.push_back(Signal{now, id.machine, core_index, SignalType::kScreenFail});
   if (trace_ != nullptr) {
     trace_->Emit(core_index, TraceEventKind::kSignalEmitted, TraceCause::kScreenFail,
                  offline ? 1 : 0);
@@ -475,84 +475,29 @@ bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool off
   return true;
 }
 
+void ShardScreenOutcome::ApplyDrains(CoreScheduler& scheduler) const {
+  for (size_t i = 0; i < offline_drained.size(); ++i) {
+    scheduler.Drain(offline_drained[i]);
+    if (!drained_tiers.empty()) {
+      scheduler.NoteScreenDrainTier(drained_tiers[i]);
+    }
+    scheduler.Release(offline_drained[i]);
+  }
+}
+
 ScreeningTickStats ScreeningOrchestrator::Tick(SimTime now, SimTime dt, Fleet& fleet,
                                                CoreScheduler& scheduler,
                                                const std::function<void(const Signal&)>& emit) {
-  ScreeningTickStats stats;
-
-  if (adaptive()) {
-    // Adaptive path: PlanAdaptiveTick already drained the wheels / advanced the due table and
-    // chose this tick's admissions; execution just runs them (ascending core order — the
-    // plan sorted planned_ back into the dense visit order).
-    for (const PlannedScreen& plan : planned_) {
-      scheduler.Drain(plan.core);
-      scheduler.NoteScreenDrainTier(plan.tier);
-      ++stats.offline_screens;
-      if (ScreenOne(now, plan.core, /*offline=*/true, plan.iterations, fleet, rng_, emit,
-                    stats)) {
-        ++risk_[plan.core].screen_failures;
-      }
-      scheduler.Release(plan.core);
-    }
-  } else if (options_.offline_enabled && sparse_enabled()) {
-    // Sparse path: drain this tick's wheel bucket instead of scanning every core. Drains are
-    // ascending, so visits (and therefore draws) happen in the dense scan's order.
-    MERCURIAL_CHECK_EQ(wheels_.size(), 1u)
-        << "the serial engine enables sparse screening with a single-shard partition";
-    const int64_t tick = TickIndex(now);
-    ShardWheel& sw = wheels_.front();
-    for (const uint32_t core : sw.wheel.Drain(tick)) {
-      if (!RescheduleDrained(now, tick, core, fleet, sw)) {
-        continue;  // not racked yet; parked until its install tick
-      }
-      if (!scheduler.Schedulable(core)) {
-        continue;  // quarantined/retired cores are handled by the confession path
-      }
-      // Offline screening requires vacating the core, then it returns to service.
-      scheduler.Drain(core);
-      ++stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng_, emit,
-                stats);
-      scheduler.Release(core);
-    }
-  } else if (options_.offline_enabled) {
-    for (uint64_t core = 0; core < next_offline_due_.size(); ++core) {
-      if (next_offline_due_[core] > now) {
-        continue;
-      }
-      if (!fleet.Installed(core, now)) {
-        next_offline_due_[core] = now;  // not racked yet; first screen once installed
-        continue;
-      }
-      next_offline_due_[core] = now + options_.offline_period;
-      if (!scheduler.Schedulable(core)) {
-        continue;  // quarantined/retired cores are handled by the confession path
-      }
-      // Offline screening requires vacating the core, then it returns to service.
-      scheduler.Drain(core);
-      ++stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng_, emit,
-                stats);
-      scheduler.Release(core);
-    }
+  // One shard spanning the fleet, on the orchestrator's own stream. Every drain is paired with
+  // a release and the shard pass never reads a failure's delivery, so applying both after the
+  // pass replays the inline drain-screen-release sequence draw for draw.
+  const ShardScreenOutcome outcome =
+      TickShard(now, dt, 0, next_offline_due_.size(), fleet, scheduler, rng_);
+  outcome.ApplyDrains(scheduler);
+  for (const Signal& signal : outcome.failures) {
+    emit(signal);
   }
-
-  if (options_.online_enabled && scheduler.active_count() > 0) {
-    const double expected =
-        static_cast<double>(next_offline_due_.size()) * options_.online_fraction_per_day *
-        dt.days();
-    const uint64_t samples = rng_.Poisson(expected);
-    for (uint64_t s = 0; s < samples; ++s) {
-      const uint64_t core = rng_.UniformInt(0, next_offline_due_.size() - 1);
-      if (!scheduler.Schedulable(core) || !fleet.Installed(core, now)) {
-        continue;
-      }
-      ++stats.online_screens;
-      ScreenOne(now, core, /*offline=*/false, options_.online_iterations, fleet, rng_, emit,
-                stats);
-    }
-  }
-  return stats;
+  return outcome.stats;
 }
 
 ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
@@ -561,7 +506,6 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
                                                     const CoreScheduler& scheduler, Rng& rng) {
   MERCURIAL_CHECK_LE(core_end, next_offline_due_.size());
   ShardScreenOutcome outcome;
-  const auto emit = [&outcome](const Signal& signal) { outcome.failures.push_back(signal); };
 
   if (adaptive()) {
     // Adaptive path: execute this shard's slice of the serial plan. planned_ is ascending by
@@ -575,8 +519,7 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
       outcome.offline_drained.push_back(it->core);
       outcome.drained_tiers.push_back(it->tier);
       ++outcome.stats.offline_screens;
-      if (ScreenOne(now, it->core, /*offline=*/true, it->iterations, fleet, rng, emit,
-                    outcome.stats)) {
+      if (ScreenOne(now, it->core, /*offline=*/true, it->iterations, fleet, rng, outcome)) {
         ++risk_[it->core].screen_failures;
       }
     }
@@ -596,8 +539,7 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
       // Drain/release deferral: same contract as the dense loop below.
       outcome.offline_drained.push_back(core);
       ++outcome.stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, emit,
-                outcome.stats);
+      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
     }
   } else if (options_.offline_enabled) {
     for (uint64_t core = core_begin; core < core_end; ++core) {
@@ -618,8 +560,7 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
       // one for the rest of this tick — exactly the serial drain-screen-release semantics.
       outcome.offline_drained.push_back(core);
       ++outcome.stats.offline_screens;
-      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, emit,
-                outcome.stats);
+      ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
     }
   }
 
@@ -633,8 +574,7 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
         continue;
       }
       ++outcome.stats.online_screens;
-      ScreenOne(now, core, /*offline=*/false, options_.online_iterations, fleet, rng, emit,
-                outcome.stats);
+      ScreenOne(now, core, /*offline=*/false, options_.online_iterations, fleet, rng, outcome);
     }
   }
   return outcome;

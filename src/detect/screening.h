@@ -125,24 +125,20 @@ struct ScreeningTickStats {
   uint64_t online_screens = 0;
   uint64_t screen_failures = 0;
   uint64_t ops_spent = 0;
-
-  // Shard-order accumulation for the parallel engine.
-  void Merge(const ScreeningTickStats& other) {
-    offline_screens += other.offline_screens;
-    online_screens += other.online_screens;
-    screen_failures += other.screen_failures;
-    ops_spent += other.ops_spent;
-  }
 };
 
-// Everything one shard's screening pass produced, buffered so the parallel engine can apply
-// side effects (suspect-service reports, scheduler drain accounting) serially in shard-index
-// order at the tick barrier.
+// Everything one shard's screening pass produced, buffered so the engine can apply side
+// effects (suspect-service reports, scheduler drain accounting) serially in shard-index order
+// at the tick barrier.
 struct ShardScreenOutcome {
   ScreeningTickStats stats;
   std::vector<Signal> failures;          // kScreenFail signals, in emission order
   std::vector<uint64_t> offline_drained; // cores offline-screened; owe Drain+Release costs
   std::vector<uint8_t> drained_tiers;    // risk tier per offline_drained entry; empty legacy
+
+  // Charges the scheduler for every offline screen, in screening order: drain (plus the risk
+  // tier when adaptive), then release back to service.
+  void ApplyDrains(CoreScheduler& scheduler) const;
 };
 
 class ScreeningOrchestrator {
@@ -156,18 +152,19 @@ class ScreeningOrchestrator {
   // on the healthy-core fast path only needs the count.
   uint64_t CoveredUnitCount(SimTime now) const;
 
-  // Runs screening due in (now - dt, now]. Failures are emitted through `emit` as kScreenFail
-  // signals. Cores that are not schedulable are skipped (quarantined cores are tested by the
-  // confession path instead). The fleet's healthy cores are fast-pathed: a defect-free core
-  // cannot fail a battery (DESIGN.md decision 1), so only its cost is accounted.
+  // Standalone tick for callers outside the fleet engine (burn-in, tests): TickShard over every
+  // core on the orchestrator's own stream, with its side effects applied in place — drains
+  // charged to `scheduler`, then each failure emitted through `emit` as a kScreenFail signal.
   ScreeningTickStats Tick(SimTime now, SimTime dt, Fleet& fleet, CoreScheduler& scheduler,
                           const std::function<void(const Signal&)>& emit);
 
-  // Sharded variant for the parallel fleet engine: runs the screening due in (now - dt, now]
-  // for cores in [core_begin, core_end) only, drawing every random decision from `rng` (a
-  // per-(shard, tick) counter-derived stream — never the orchestrator's own stream, which
-  // would make results depend on shard execution order). Side effects are buffered in the
-  // returned outcome instead of applied: the caller replays them in shard-index order.
+  // Runs the screening due in (now - dt, now] for cores in [core_begin, core_end) only,
+  // drawing every random decision from `rng` (the fleet engine passes a per-(shard, tick)
+  // counter-derived stream, so results cannot depend on shard execution order). Cores that
+  // are not schedulable are skipped (quarantined cores are tested by the confession path
+  // instead). The fleet's healthy cores are fast-pathed: a defect-free core cannot fail a
+  // battery (DESIGN.md decision 1), so only its cost is accounted. Side effects are buffered
+  // in the returned outcome instead of applied: the caller replays them in shard-index order.
   // Safe to call concurrently for disjoint core ranges: it reads shared state (fleet core
   // lookup, frozen scheduler states, coverage schedule) and mutates only this orchestrator's
   // per-core due times within the range and the cores themselves (shard-owned). Online
@@ -257,9 +254,10 @@ class ScreeningOrchestrator {
     SimTime last_screen = SimTime::Seconds(-1);  // last offline screen; -1 = never
   };
 
+  // Screens one core, charging its ops to `outcome.stats` and appending a kScreenFail signal
+  // to `outcome.failures` on failure. Returns true on failure.
   bool ScreenOne(SimTime now, uint64_t core_index, bool offline, uint64_t iterations,
-                 Fleet& fleet, Rng& rng, const std::function<void(const Signal&)>& emit,
-                 ScreeningTickStats& stats);
+                 Fleet& fleet, Rng& rng, ShardScreenOutcome& outcome);
 
   // Weighted risk sum for one core; serial-phase only (mutates probation_seen).
   double RiskScore(SimTime now, uint64_t core, Fleet& fleet);

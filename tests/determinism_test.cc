@@ -6,10 +6,8 @@
 //   D1. Thread-count invariance: the same StudyOptions (shards fixed) produce a StudyReport
 //       that is EXACTLY equal — every counter, every weekly bucket, every histogram bin,
 //       every floating-point cost accumulator — at threads = 1, 2, and 8.
-//   D2. Serial regression lock: two shards=1 runs with the same seed match exactly (the
-//       pre-sharding serial contract; the shards=1 engine is the legacy draw order).
-//   D3. Replays: a sharded study replayed with the same options matches itself (the sharded
-//       engine is a pure function of StudyOptions).
+//   D3. Replays: a study replayed with the same options matches itself at shards 1 and 8
+//       (the engine is a pure function of StudyOptions).
 //   D4. The thread knob is execution-only: thread pool sizes beyond the shard count are
 //       clamped and still reproduce the shards-fixed result.
 //   D5. Fast-path equivalence: the dispatch fast path (armed-defect caching, interned metric
@@ -29,7 +27,7 @@
 //   D10. Sparse-engine equivalence: the due-wheel + active-index sparse tick engine produces
 //       a StudyReport (including trace bytes, quorum, audit, and probation fields) EXACTLY
 //       equal to the dense reference oracle, across 3 seeds x chaos {off, high} x audit
-//       {off, on} x threads {1, 2, 8}, plus the serial (shards = 1) engine. This is the
+//       {off, on} x shards {1, 8} x threads {1, 2, 8} (threads <= shards). This is the
 //       stream-neutrality obligation of the sparse overhaul (DESIGN.md, "Decision: sparsity
 //       is free when streams are counter-keyed"): skipped cores draw nothing, so visiting
 //       only due/active cores cannot shift any stream.
@@ -268,18 +266,15 @@ TEST(DeterminismTest, ReportIsThreadCountInvariant) {
   }
 }
 
-// D2: regression lock for the serial contract — two shards=1 runs with one seed match.
-TEST(DeterminismTest, SerialEngineIsSeedDeterministic) {
-  const StudyReport first = RunStudy(HarnessOptions(/*shards=*/1, /*threads=*/1));
-  const StudyReport second = RunStudy(HarnessOptions(/*shards=*/1, /*threads=*/1));
-  ExpectReportsEqual(first, second);
-}
-
-// D3: the sharded engine is a pure function of StudyOptions.
+// D3: the engine is a pure function of StudyOptions, at one shard and at eight.
 TEST(DeterminismTest, ShardedEngineIsSeedDeterministic) {
-  const StudyReport first = RunStudy(HarnessOptions(/*shards=*/8, /*threads=*/4));
-  const StudyReport second = RunStudy(HarnessOptions(/*shards=*/8, /*threads=*/4));
-  ExpectReportsEqual(first, second);
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const int threads = std::min(shards, 4);
+    const StudyReport first = RunStudy(HarnessOptions(shards, threads));
+    const StudyReport second = RunStudy(HarnessOptions(shards, threads));
+    ExpectReportsEqual(first, second);
+  }
 }
 
 // D4: threads beyond the shard count clamp and cannot perturb results.
@@ -403,7 +398,7 @@ TEST(DeterminismTest, AuditedReportIsThreadCountInvariant) {
 
 // D7: auditing is an observer. Turning it on must not change any legacy field of the report —
 // the ledger taps existing events, the conviction hook rides existing verdicts, and the
-// orchestrator draws only from its own Split stream. Serial and sharded engines both.
+// orchestrator draws only from its own Split stream. At one shard and at eight.
 TEST(DeterminismTest, AuditIsBitInvisibleToLegacyReport) {
   for (const int shards : {1, 8}) {
     StudyOptions audited = AuditHarness(shards, /*threads=*/shards == 1 ? 1 : 2);
@@ -469,7 +464,7 @@ TEST(DeterminismTest, GoldenTraceIsThreadCountInvariant) {
 
 // D8b: tracing is an observer. The recorder consumes no randomness and emission sits off the
 // decision paths, so every legacy report field must be bit-identical with tracing on vs off —
-// serial and sharded engines both.
+// at one shard and at eight.
 TEST(DeterminismTest, TracingIsBitInvisibleToLegacyReport) {
   for (const int shards : {1, 8}) {
     StudyOptions traced = TraceHarness(/*chaos=*/true, /*audit=*/true,
@@ -576,43 +571,33 @@ StudyOptions SparseHarness(uint64_t seed, bool chaos, bool audit, bool sparse, i
 }
 
 // D10a: sparse == dense, full matrix. The dense run (sparse_engine = false) is the reference
-// oracle; the sparse engine must reproduce it bit-for-bit at every thread count.
+// oracle; the sparse engine must reproduce it bit-for-bit at every shard and thread count.
+// A single shard owns one wheel spanning the whole fleet, the partition's degenerate case.
 TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
   for (const uint64_t seed : {uint64_t{7}, uint64_t{20210531}, uint64_t{424242}}) {
     for (const bool chaos : {false, true}) {
       for (const bool audit : {false, true}) {
-        SCOPED_TRACE("seed=" + std::to_string(seed) + " chaos=" + (chaos ? "high" : "off") +
-                     " audit=" + (audit ? "on" : "off"));
-        const StudyReport dense = RunStudy(
-            SparseHarness(seed, chaos, audit, /*sparse=*/false, /*shards=*/8, /*threads=*/1));
-        const std::vector<uint8_t> golden = SerializeTrace(dense.trace);
-        ASSERT_GT(dense.trace.events.size(), 0u) << "harness recorded no events";
-        for (const int threads : {1, 2, 8}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          const StudyReport sparse = RunStudy(
-              SparseHarness(seed, chaos, audit, /*sparse=*/true, /*shards=*/8, threads));
-          ExpectReportsEqual(dense, sparse);
-          EXPECT_EQ(golden, SerializeTrace(sparse.trace));
+        for (const int shards : {1, 8}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " chaos=" + (chaos ? "high" : "off") +
+                       " audit=" + (audit ? "on" : "off") +
+                       " shards=" + std::to_string(shards));
+          const StudyReport dense = RunStudy(
+              SparseHarness(seed, chaos, audit, /*sparse=*/false, shards, /*threads=*/1));
+          const std::vector<uint8_t> golden = SerializeTrace(dense.trace);
+          ASSERT_GT(dense.trace.events.size(), 0u) << "harness recorded no events";
+          for (const int threads : {1, 2, 8}) {
+            if (threads > shards) {
+              break;  // clamped to the shard count: a repeat of a row already run
+            }
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            const StudyReport sparse = RunStudy(
+                SparseHarness(seed, chaos, audit, /*sparse=*/true, shards, threads));
+            ExpectReportsEqual(dense, sparse);
+            EXPECT_EQ(golden, SerializeTrace(sparse.trace));
+          }
         }
       }
     }
-  }
-}
-
-// D10b: the serial engine (shards = 1, legacy stream on rng_) sparsifies identically — the
-// wheel and index do not depend on the counter-keyed streams, only on skipped visits being
-// draw-free, which holds for the persistent serial stream too.
-TEST(DeterminismTest, SparseSerialEngineMatchesDenseOracle) {
-  for (const uint64_t seed : {uint64_t{7}, uint64_t{20210531}, uint64_t{424242}}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const StudyReport dense = RunStudy(SparseHarness(seed, /*chaos=*/true, /*audit=*/true,
-                                                     /*sparse=*/false, /*shards=*/1,
-                                                     /*threads=*/1));
-    const StudyReport sparse = RunStudy(SparseHarness(seed, /*chaos=*/true, /*audit=*/true,
-                                                      /*sparse=*/true, /*shards=*/1,
-                                                      /*threads=*/1));
-    ExpectReportsEqual(dense, sparse);
-    EXPECT_EQ(SerializeTrace(dense.trace), SerializeTrace(sparse.trace));
   }
 }
 
@@ -686,7 +671,7 @@ TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
 
 // D11b: durability is an observer. Journaling consumes no randomness and the crash stream is
 // stateless per tick, so enabling the journal with no crash due leaves every report field and
-// every trace byte identical to a durability-off run — serial and sharded engines both.
+// every trace byte identical to a durability-off run — at one shard and at eight.
 TEST(DeterminismTest, DurabilityIsBitInvisibleWithoutCrashes) {
   for (const int shards : {1, 8}) {
     StudyOptions durable = SparseHarness(/*seed=*/20210531, /*chaos=*/true, /*audit=*/true,
@@ -801,7 +786,7 @@ TEST(DeterminismTest, AdaptiveOffIsBitInvisibleToLegacyReport) {
 // first principles — same seed, salt, shard, tick — and demanding the study's traced noise
 // signals match the replay event for event while fleet growth is thinning the noise. Any
 // reordering of the pick draw, or any draw added/removed on the uninstalled path, diverges.
-TEST(DeterminismTest, BackgroundNoiseDrawAccountingIsPinnedUnderFleetGrowth) {
+void ExpectBackgroundNoiseMatchesReplay(int shards) {
   StudyOptions options;
   options.seed = 20210531;
   options.fleet.machine_count = 8;
@@ -813,7 +798,7 @@ TEST(DeterminismTest, BackgroundNoiseDrawAccountingIsPinnedUnderFleetGrowth) {
   options.fleet.future_install_spread = SimTime::Days(60);
   options.duration = SimTime::Days(80);
   options.background_signal_rate_per_core_day = 0.02;
-  options.shards = 2;
+  options.shards = shards;
   options.threads = 1;
   options.trace.enabled = true;
 
@@ -877,6 +862,15 @@ TEST(DeterminismTest, BackgroundNoiseDrawAccountingIsPinnedUnderFleetGrowth) {
     EXPECT_EQ(traced[i].time_seconds, expected[i].time_seconds) << "event " << i;
     EXPECT_EQ(traced[i].core, expected[i].core) << "event " << i;
     EXPECT_EQ(traced[i].type, expected[i].type) << "event " << i;
+  }
+}
+
+TEST(DeterminismTest, BackgroundNoiseDrawAccountingIsPinnedUnderFleetGrowth) {
+  // One shard and two: a single shard draws from the same (seed, shard 0, tick) streams as
+  // any other partition's first shard.
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExpectBackgroundNoiseMatchesReplay(shards);
   }
 }
 

@@ -18,6 +18,7 @@
 //   mercurialctl screen --defect=copy_stuck_bit --sweep=true
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -194,7 +195,8 @@ void DefineStudyFlags(FlagSet& flags) {
   flags.DefineInt("threads", 1, "worker threads for the sharded parallel engine");
   flags.DefineInt("shards", 0,
                   "random-stream shards (0 = auto: 1 when --threads=1, else 8x threads); "
-                  "part of the experiment identity — results depend on shards, never threads");
+                  "part of the experiment identity — results depend on shards, never threads; "
+                  "1 is one shard of the same engine, not a separate serial path");
   flags.DefineBool("sparse-engine", true,
                    "due-wheel sparse tick engine (O(active work) per tick); disable to run "
                    "the dense reference oracle — results are bit-identical either way");
@@ -278,8 +280,34 @@ void DefineStudyFlags(FlagSet& flags) {
                      "P(a controller crash also flips one bit in the journal tail)");
 }
 
+// The fleet-shape flags `study`, `recover` and `trace` all parse, checked before they are cast
+// into StudyOptions: a fleet without machines or a negative duration aborts inside the study,
+// and a negative count wraps to a huge unsigned value.
+Status ValidateFleetFlags(const FlagSet& flags) {
+  if (flags.GetInt("machines") < 1) {
+    return InvalidArgumentError("--machines must be >= 1");
+  }
+  if (flags.GetInt("days") < 0) {
+    return InvalidArgumentError("--days must be >= 0");
+  }
+  const double multiplier = flags.GetDouble("multiplier");
+  if (!std::isfinite(multiplier) || multiplier < 0.0) {
+    return InvalidArgumentError("--multiplier must be a finite number >= 0");
+  }
+  return Status::Ok();
+}
+
 // Builds and validates StudyOptions from a parsed study flag set.
 Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
+  if (Status bad_fleet = ValidateFleetFlags(flags); !bad_fleet.ok()) {
+    return bad_fleet;
+  }
+  if (flags.GetInt("work-units") < 0) {
+    return InvalidArgumentError("--work-units must be >= 0");
+  }
+  if (flags.GetInt("screening-period") < 0) {
+    return InvalidArgumentError("--screening-period must be >= 0 (0 disables offline screening)");
+  }
   StudyOptions options;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
   options.fleet.machine_count = static_cast<size_t>(flags.GetInt("machines"));
@@ -292,8 +320,8 @@ Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
   options.shards = static_cast<int>(flags.GetInt("shards"));
   options.sparse_engine = flags.GetBool("sparse-engine");
   if (options.shards <= 0) {
-    // Auto: serial legacy engine for one thread; otherwise 8 shards per thread so the
-    // dynamic scheduler can balance unevenly-loaded shards.
+    // Auto: one shard for one thread; otherwise 8 shards per thread so the dynamic
+    // scheduler can balance unevenly-loaded shards.
     options.shards = options.threads <= 1 ? 1 : 8 * options.threads;
   }
   const int64_t period = flags.GetInt("screening-period");
@@ -814,6 +842,10 @@ int CmdTrace(int argc, const char* const* argv) {
   const Status status = flags.Parse(argc, argv, 2);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+    return 1;
+  }
+  if (Status bad_fleet = ValidateFleetFlags(flags); !bad_fleet.ok()) {
+    std::fprintf(stderr, "%s\n", bad_fleet.ToString().c_str());
     return 1;
   }
 
