@@ -8,6 +8,7 @@
 //     factorization [27] work: detection/correction rates and overheads for checked sorting,
 //     ABFT matmul, and checked LU, across defect rates.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -159,12 +159,7 @@ void SimCore::TraceFire(ExecUnit unit, bool machine_check) {
   }
 }
 
-void SimCore::Dispatch(const OpInfo& op, uint8_t* result, size_t size) {
-  ++counters_.ops_per_unit[static_cast<size_t>(op.unit)];
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(op.unit)];
-  if (unit_defects.empty()) {
-    return;
-  }
+void SimCore::DispatchDefective(const OpInfo& op, uint8_t* result, size_t size) {
   if (fast_path_) {
     // Armed-list iteration draws from rng_ in exactly the reference order: armed defects keep
     // defects_ order, excluded defects never drew, and the cached probability is the same
@@ -187,7 +182,7 @@ void SimCore::Dispatch(const OpInfo& op, uint8_t* result, size_t size) {
     return;
   }
   const Environment env = CurrentEnvironment();
-  for (uint16_t index : unit_defects) {
+  for (uint16_t index : defects_by_unit_[static_cast<size_t>(op.unit)]) {
     const Defect& defect = defects_[index];
     if (!defect.ShouldFire(op, env, rng_)) {
       continue;
@@ -381,7 +376,13 @@ uint8_t SimCore::AesRcon(int round) {
 }
 
 AesKeySchedule SimCore::ExpandKey(const uint8_t key[kAesKeyBytes]) {
-  return ExpandAesKey(key, [this](int round) { return AesRcon(round); });
+  // Rounds 1..10 issue in the order key expansion consumes them, so the draws, counters and
+  // kDefectFired events match an expansion that computed each constant when it needed it.
+  AesRconArray rcon{};
+  for (int round = 1; round <= kAesRounds; ++round) {
+    rcon[round - 1] = AesRcon(round);
+  }
+  return ExpandAesKey(key, rcon);
 }
 
 uint32_t SimCore::Crc32Block(uint32_t crc, const uint8_t* data, size_t n) {

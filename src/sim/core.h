@@ -135,7 +135,7 @@ class SimCore {
   AesBlock AesEnc(const AesBlock& state, const AesBlock& round_key, bool last);
   AesBlock AesDec(const AesBlock& state, const AesBlock& round_key, bool last);
   uint8_t AesRcon(int round);
-  // Convenience: key expansion with the rcon computation routed through this core.
+  // Convenience: key expansion with the ten round constants computed by AesRcon on this core.
   AesKeySchedule ExpandKey(const uint8_t key[kAesKeyBytes]);
 
   // CRC unit: one gated op per call over the whole block (correct value from the substrate).
@@ -186,9 +186,18 @@ class SimCore {
     uint16_t index = 0;  // into defects_
   };
 
-  // Computes correct-result bookkeeping and (for defective cores) runs the defect gates.
-  // `result`/`size` point at the already-computed correct result bytes.
-  void Dispatch(const OpInfo& op, uint8_t* result, size_t size);
+  // Computes correct-result bookkeeping and (for defective units) runs the defect gates.
+  // `result`/`size` point at the already-computed correct result bytes. The gate is inline so
+  // ops on a unit with no defect — nearly all of them — cost a counter bump and a branch.
+  void Dispatch(const OpInfo& op, uint8_t* result, size_t size) {
+    const auto unit = static_cast<size_t>(op.unit);
+    ++counters_.ops_per_unit[unit];
+    if (!defects_by_unit_[unit].empty()) {
+      DispatchDefective(op, result, size);
+    }
+  }
+  // The defect gates of Dispatch: the armed-cache path, or the reference path.
+  void DispatchDefective(const OpInfo& op, uint8_t* result, size_t size);
 
   // Armed-defect list for `unit` under the current environment; re-arms if stale.
   const std::vector<ArmedDefect>& ArmedForUnit(ExecUnit unit);

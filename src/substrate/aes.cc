@@ -1,5 +1,7 @@
 #include "src/substrate/aes.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -27,76 +29,85 @@ constexpr uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb,
     0x16};
 
-struct InvSboxTable {
-  uint8_t table[256];
-  InvSboxTable() {
-    for (int i = 0; i < 256; ++i) {
-      table[kSbox[i]] = static_cast<uint8_t>(i);
+constexpr AesRconArray kStandardRcon = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                        0x20, 0x40, 0x80, 0x1b, 0x36};
+
+constexpr uint8_t GfMul(uint8_t a, uint8_t b) {
+  uint8_t result = 0;
+  for (; b != 0; b >>= 1) {
+    if (b & 1) {
+      result ^= a;
     }
+    a = static_cast<uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));  // xtime
   }
-};
-
-const InvSboxTable kInvSbox;
-
-// Column-major state indexing to match FIPS-197: state[r + 4*c].
-inline uint8_t XTime(uint8_t x) {
-  return static_cast<uint8_t>((x << 1) ^ ((x & 0x80) ? 0x1b : 0x00));
+  return result;
 }
 
-void SubBytes(AesBlock& s) {
-  for (auto& b : s) {
-    b = kSbox[b];
-  }
+// A state column or key word packed little-endian: byte r of the word is row r. Every table
+// below is indexed by one state byte and yields that byte's contribution to a whole column.
+constexpr uint32_t PackColumn(uint8_t b0, uint8_t b1, uint8_t b2, uint8_t b3) {
+  return uint32_t{b0} | uint32_t{b1} << 8 | uint32_t{b2} << 16 | uint32_t{b3} << 24;
 }
 
-void InvSubBytes(AesBlock& s) {
-  for (auto& b : s) {
-    b = kInvSbox.table[b];
+// Row r of a packed column.
+constexpr uint8_t Row(uint32_t w, int r) { return static_cast<uint8_t>(w >> (8 * r)); }
+
+constexpr std::array<uint8_t, 256> kInvSbox = [] {
+  std::array<uint8_t, 256> table{};
+  for (int i = 0; i < 256; ++i) {
+    table[kSbox[i]] = static_cast<uint8_t>(i);
   }
+  return table;
+}();
+
+// kTe[x]: MixColumns of the column (S[x], 0, 0, 0). A byte in row r contributes the same word
+// rotated left by 8*r bits, so one table serves all four rows.
+constexpr std::array<uint32_t, 256> kTe = [] {
+  std::array<uint32_t, 256> table{};
+  for (int x = 0; x < 256; ++x) {
+    const uint8_t s = kSbox[x];
+    table[x] = PackColumn(GfMul(s, 2), s, s, GfMul(s, 3));
+  }
+  return table;
+}();
+
+// kInvMix[x]: InvMixColumns of the column (x, 0, 0, 0), rotated per row like kTe.
+constexpr std::array<uint32_t, 256> kInvMix = [] {
+  std::array<uint32_t, 256> table{};
+  for (int x = 0; x < 256; ++x) {
+    const auto b = static_cast<uint8_t>(x);
+    table[x] = PackColumn(GfMul(b, 0x0e), GfMul(b, 0x09), GfMul(b, 0x0d), GfMul(b, 0x0b));
+  }
+  return table;
+}();
+
+// Column-major state indexing to match FIPS-197: state[r + 4*c], so a column's four bytes
+// read as a little-endian word are its packed word.
+static_assert(std::endian::native == std::endian::little,
+              "packed AES columns assume a little-endian host");
+
+inline uint32_t LoadColumn(const AesBlock& s, int c) {
+  uint32_t w = 0;
+  std::memcpy(&w, &s[4 * c], 4);
+  return w;
 }
 
-void ShiftRows(AesBlock& s) {
-  AesBlock t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[r + 4 * c] = t[r + 4 * ((c + r) % 4)];
-    }
-  }
+inline void StoreColumn(AesBlock& s, int c, uint32_t w) { std::memcpy(&s[4 * c], &w, 4); }
+
+// The block whose column c is column(c), written out rather than looped so the compiler folds
+// each column's ShiftRows indices into its lookups.
+template <typename ColumnFn>
+AesBlock FromColumns(const ColumnFn& column) {
+  AesBlock out{};
+  StoreColumn(out, 0, column(0));
+  StoreColumn(out, 1, column(1));
+  StoreColumn(out, 2, column(2));
+  StoreColumn(out, 3, column(3));
+  return out;
 }
 
-void InvShiftRows(AesBlock& s) {
-  AesBlock t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[r + 4 * ((c + r) % 4)] = t[r + 4 * c];
-    }
-  }
-}
-
-void MixColumns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = &s[4 * c];
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(XTime(a0) ^ (XTime(a1) ^ a1) ^ a2 ^ a3);
-    col[1] = static_cast<uint8_t>(a0 ^ XTime(a1) ^ (XTime(a2) ^ a2) ^ a3);
-    col[2] = static_cast<uint8_t>(a0 ^ a1 ^ XTime(a2) ^ (XTime(a3) ^ a3));
-    col[3] = static_cast<uint8_t>((XTime(a0) ^ a0) ^ a1 ^ a2 ^ XTime(a3));
-  }
-}
-
-void InvMixColumns(AesBlock& s) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = &s[4 * c];
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<uint8_t>(AesGfMul(a0, 0x0e) ^ AesGfMul(a1, 0x0b) ^ AesGfMul(a2, 0x0d) ^
-                                  AesGfMul(a3, 0x09));
-    col[1] = static_cast<uint8_t>(AesGfMul(a0, 0x09) ^ AesGfMul(a1, 0x0e) ^ AesGfMul(a2, 0x0b) ^
-                                  AesGfMul(a3, 0x0d));
-    col[2] = static_cast<uint8_t>(AesGfMul(a0, 0x0d) ^ AesGfMul(a1, 0x09) ^ AesGfMul(a2, 0x0e) ^
-                                  AesGfMul(a3, 0x0b));
-    col[3] = static_cast<uint8_t>(AesGfMul(a0, 0x0b) ^ AesGfMul(a1, 0x0d) ^ AesGfMul(a2, 0x09) ^
-                                  AesGfMul(a3, 0x0e));
-  }
+inline uint32_t SubWord(uint32_t w) {
+  return PackColumn(kSbox[Row(w, 0)], kSbox[Row(w, 1)], kSbox[Row(w, 2)], kSbox[Row(w, 3)]);
 }
 
 void AddRoundKey(AesBlock& s, const AesBlock& k) {
@@ -107,86 +118,65 @@ void AddRoundKey(AesBlock& s, const AesBlock& k) {
 
 }  // namespace
 
-uint8_t AesGfMul(uint8_t a, uint8_t b) {
-  uint8_t result = 0;
-  while (b != 0) {
-    if (b & 1) {
-      result ^= a;
-    }
-    a = XTime(a);
-    b >>= 1;
-  }
-  return result;
-}
+uint8_t AesGfMul(uint8_t a, uint8_t b) { return GfMul(a, b); }
 
 uint8_t AesSubByte(uint8_t value) { return kSbox[value]; }
-uint8_t AesInvSubByte(uint8_t value) { return kInvSbox.table[value]; }
+uint8_t AesInvSubByte(uint8_t value) { return kInvSbox[value]; }
 
 uint8_t StandardAesRcon(int round) {
   MERCURIAL_CHECK_GE(round, 1);
   MERCURIAL_CHECK_LE(round, kAesRounds);
-  uint8_t rcon = 0x01;
-  for (int i = 1; i < round; ++i) {
-    rcon = XTime(rcon);
-  }
-  return rcon;
+  return kStandardRcon[round - 1];
 }
 
 AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes]) {
-  return ExpandAesKey(key, StandardAesRcon);
+  return ExpandAesKey(key, kStandardRcon);
 }
 
-AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes], const AesRconFn& rcon) {
-  // 44 words, column-major: word i is bytes [4*i, 4*i+4).
-  uint8_t w[176];
-  std::memcpy(w, key, 16);
-  for (int i = 4; i < 44; ++i) {
-    uint8_t temp[4];
-    std::memcpy(temp, &w[4 * (i - 1)], 4);
-    if (i % 4 == 0) {
-      // RotWord.
-      const uint8_t t0 = temp[0];
-      temp[0] = temp[1];
-      temp[1] = temp[2];
-      temp[2] = temp[3];
-      temp[3] = t0;
-      // SubWord.
-      for (auto& b : temp) {
-        b = kSbox[b];
-      }
-      temp[0] ^= rcon(i / 4);
-    }
-    for (int b = 0; b < 4; ++b) {
-      w[4 * i + b] = static_cast<uint8_t>(w[4 * (i - 4) + b] ^ temp[b]);
-    }
-  }
+AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes], const AesRconArray& rcon) {
+  // The four packed words of the latest round key.
+  uint32_t w[4] = {};
+  std::memcpy(w, key, kAesKeyBytes);
   AesKeySchedule schedule;
-  for (int r = 0; r <= kAesRounds; ++r) {
-    std::memcpy(schedule.round_keys[r].data(), &w[16 * r], 16);
+  std::memcpy(schedule.round_keys[0].data(), w, kAesKeyBytes);
+  for (int r = 1; r <= kAesRounds; ++r) {
+    // RotWord is a right rotation of the packed word; the round constant enters row 0.
+    w[0] ^= SubWord(std::rotr(w[3], 8)) ^ rcon[r - 1];
+    for (int c = 1; c < 4; ++c) {
+      w[c] ^= w[c - 1];
+    }
+    std::memcpy(schedule.round_keys[r].data(), w, kAesKeyBytes);
   }
   return schedule;
 }
 
 AesBlock AesEncRound(const AesBlock& state, const AesBlock& round_key, bool last) {
-  AesBlock s = state;
-  SubBytes(s);
-  ShiftRows(s);
-  if (!last) {
-    MixColumns(s);
-  }
-  AddRoundKey(s, round_key);
-  return s;
+  // ShiftRows: row r of output column c is row r of input column c + r.
+  return FromColumns([&](int c) {
+    const uint8_t b0 = state[4 * c];
+    const uint8_t b1 = state[1 + 4 * ((c + 1) & 3)];
+    const uint8_t b2 = state[2 + 4 * ((c + 2) & 3)];
+    const uint8_t b3 = state[3 + 4 * ((c + 3) & 3)];
+    const uint32_t w = last ? PackColumn(kSbox[b0], kSbox[b1], kSbox[b2], kSbox[b3])
+                            : kTe[b0] ^ std::rotl(kTe[b1], 8) ^ std::rotl(kTe[b2], 16) ^
+                                  std::rotl(kTe[b3], 24);
+    return w ^ LoadColumn(round_key, c);
+  });
 }
 
 AesBlock AesDecRound(const AesBlock& state, const AesBlock& round_key, bool last) {
-  AesBlock s = state;
-  AddRoundKey(s, round_key);
-  if (!last) {
-    InvMixColumns(s);
+  uint32_t m[4] = {};
+  for (int c = 0; c < 4; ++c) {
+    const uint32_t w = LoadColumn(state, c) ^ LoadColumn(round_key, c);
+    m[c] = last ? w
+                : kInvMix[Row(w, 0)] ^ std::rotl(kInvMix[Row(w, 1)], 8) ^
+                      std::rotl(kInvMix[Row(w, 2)], 16) ^ std::rotl(kInvMix[Row(w, 3)], 24);
   }
-  InvShiftRows(s);
-  InvSubBytes(s);
-  return s;
+  // InvShiftRows, then InvSubBytes: row r of output column c is row r of column c - r.
+  return FromColumns([&](int c) {
+    return PackColumn(kInvSbox[Row(m[c], 0)], kInvSbox[Row(m[(c + 3) & 3], 1)],
+                      kInvSbox[Row(m[(c + 2) & 3], 2)], kInvSbox[Row(m[(c + 1) & 3], 3)]);
+  });
 }
 
 AesBlock AesEncryptBlock(const AesKeySchedule& schedule, const AesBlock& plaintext) {
@@ -207,24 +197,25 @@ AesBlock AesDecryptBlock(const AesKeySchedule& schedule, const AesBlock& ciphert
   return s;
 }
 
+AesBlock AesCtrCounterBlock(uint64_t nonce, uint64_t counter) {
+  AesBlock block{};
+  for (int i = 0; i < 8; ++i) {
+    block[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
+    block[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
+  }
+  return block;
+}
+
 std::vector<uint8_t> AesCtrTransform(const AesKeySchedule& schedule, uint64_t nonce,
                                      const std::vector<uint8_t>& data) {
   std::vector<uint8_t> out(data.size());
-  uint64_t counter = 0;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    AesBlock counter_block{};
-    for (int i = 0; i < 8; ++i) {
-      counter_block[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
-      counter_block[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
-    }
-    const AesBlock keystream = AesEncryptBlock(schedule, counter_block);
+  for (size_t offset = 0; offset < data.size(); offset += kAesBlockBytes) {
+    const AesBlock keystream =
+        AesEncryptBlock(schedule, AesCtrCounterBlock(nonce, offset / kAesBlockBytes));
     const size_t chunk = std::min(kAesBlockBytes, data.size() - offset);
     for (size_t i = 0; i < chunk; ++i) {
       out[offset + i] = data[offset + i] ^ keystream[i];
     }
-    offset += chunk;
-    ++counter;
   }
   return out;
 }

@@ -9,17 +9,19 @@
 //             plaintext = s XOR k[0]
 //
 // AesDecRound is the exact inverse of AesEncRound with the same round key, so the decrypt loop
-// simply walks the schedule backwards. The key schedule's round constants are injectable: the
+// simply walks the schedule backwards. Both rounds are table lookups on 32-bit state columns.
+// The key schedule's round constants are injected as an array (rcon[r - 1] for round r): the
 // paper's "self-inverting AES miscomputation" (§2) is reproduced by a core whose key-expansion
-// hardware produces wrong round constants — encrypt+decrypt with the same wrong schedule is
-// still the identity, but the ciphertext does not interoperate with healthy cores.
+// hardware produces wrong round constants — SimCore::ExpandKey computes the ten on the core, in
+// round order, then expands. Encrypt+decrypt with the same wrong schedule is still the
+// identity, but the ciphertext does not interoperate with healthy cores.
 
 #ifndef MERCURIAL_SRC_SUBSTRATE_AES_H_
 #define MERCURIAL_SRC_SUBSTRATE_AES_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace mercurial {
@@ -35,15 +37,15 @@ struct AesKeySchedule {
   std::array<AesBlock, kAesRounds + 1> round_keys;
 };
 
-// Round-constant provider for key expansion; round is 1-based (1..10). The standard schedule is
-// StandardAesRcon. Defect models substitute a corrupted provider.
-using AesRconFn = std::function<uint8_t(int round)>;
+// Round constants for key expansion: element r - 1 is round r's constant (rounds 1..10).
+using AesRconArray = std::array<uint8_t, kAesRounds>;
 
+// The standard constant of `round` (1-based).
 uint8_t StandardAesRcon(int round);
 
 // Expands a 128-bit key. `rcon` defaults to the standard constants.
 AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes]);
-AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes], const AesRconFn& rcon);
+AesKeySchedule ExpandAesKey(const uint8_t key[kAesKeyBytes], const AesRconArray& rcon);
 
 // One forward round: SubBytes, ShiftRows, MixColumns (skipped when `last`), AddRoundKey.
 AesBlock AesEncRound(const AesBlock& state, const AesBlock& round_key, bool last);
@@ -55,8 +57,11 @@ AesBlock AesDecRound(const AesBlock& state, const AesBlock& round_key, bool last
 AesBlock AesEncryptBlock(const AesKeySchedule& schedule, const AesBlock& plaintext);
 AesBlock AesDecryptBlock(const AesKeySchedule& schedule, const AesBlock& ciphertext);
 
-// CTR-mode keystream encryption of an arbitrary-length buffer (encrypt == decrypt). The
-// counter block is nonce || big-endian 64-bit counter.
+// CTR counter block for block number `counter`: big-endian nonce || big-endian counter.
+AesBlock AesCtrCounterBlock(uint64_t nonce, uint64_t counter);
+
+// CTR-mode keystream encryption of an arbitrary-length buffer (encrypt == decrypt), with
+// keystream block i = AesEncryptBlock(schedule, AesCtrCounterBlock(nonce, i)).
 std::vector<uint8_t> AesCtrTransform(const AesKeySchedule& schedule, uint64_t nonce,
                                      const std::vector<uint8_t>& data);
 

@@ -52,21 +52,13 @@ std::vector<uint8_t> CoreAesCtr(SimCore& core, const uint8_t key[kAesKeyBytes], 
                                 const std::vector<uint8_t>& data) {
   const AesKeySchedule schedule = core.ExpandKey(key);
   std::vector<uint8_t> out(data.size());
-  uint64_t counter = 0;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    AesBlock counter_block{};
-    for (int i = 0; i < 8; ++i) {
-      counter_block[i] = static_cast<uint8_t>(nonce >> (56 - 8 * i));
-      counter_block[8 + i] = static_cast<uint8_t>(counter >> (56 - 8 * i));
-    }
-    const AesBlock keystream = CoreAesEncryptBlock(core, schedule, counter_block);
+  for (size_t offset = 0; offset < data.size(); offset += kAesBlockBytes) {
+    const AesBlock keystream =
+        CoreAesEncryptBlock(core, schedule, AesCtrCounterBlock(nonce, offset / kAesBlockBytes));
     const size_t chunk = std::min(kAesBlockBytes, data.size() - offset);
     for (size_t i = 0; i < chunk; ++i) {
       out[offset + i] = data[offset + i] ^ keystream[i];
     }
-    offset += chunk;
-    ++counter;
   }
   return out;
 }

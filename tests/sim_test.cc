@@ -17,6 +17,22 @@ namespace {
 
 SimCore HealthyCore(uint64_t id = 1) { return SimCore(id, Rng(id)); }
 
+uint64_t AesOps(const SimCore& core) {
+  return core.counters().ops_per_unit[static_cast<size_t>(ExecUnit::kAes)];
+}
+
+// The standard round constants with `mask` XORed into round r's when bit r - 1 of `rounds` is set.
+AesRconArray XoredRcons(uint8_t mask, uint32_t rounds) {
+  AesRconArray rcon{};
+  for (int r = 1; r <= kAesRounds; ++r) {
+    rcon[r - 1] = StandardAesRcon(r);
+    if ((rounds >> (r - 1)) & 1) {
+      rcon[r - 1] ^= mask;
+    }
+  }
+  return rcon;
+}
+
 DefectSpec AlwaysFire(ExecUnit unit, DefectEffect effect) {
   DefectSpec spec;
   spec.unit = unit;
@@ -237,14 +253,51 @@ TEST(DefectTest, SelfInvertingAesKeySchedule) {
   const AesKeySchedule bad = core.ExpandKey(key);
   const AesKeySchedule good = ExpandAesKey(key);
   EXPECT_NE(bad.round_keys[10], good.round_keys[10]);
-  // Deterministic: expanding again gives the same wrong schedule.
+  // Every round constant is computed on the defective unit and corrupted by the defect's mask.
+  const AesKeySchedule expected = ExpandAesKey(key, XoredRcons(0x10, 0x3ff));
+  for (int r = 0; r <= kAesRounds; ++r) {
+    EXPECT_EQ(bad.round_keys[r], expected.round_keys[r]) << "round key " << r;
+  }
+  EXPECT_EQ(AesOps(core), 10u);
+  EXPECT_EQ(core.counters().corruptions, 10u);
+  // Deterministic: expanding again gives the same wrong schedule, for another 10 ops.
   const AesKeySchedule bad2 = core.ExpandKey(key);
-  EXPECT_EQ(bad.round_keys[10], bad2.round_keys[10]);
+  EXPECT_EQ(bad.round_keys, bad2.round_keys);
+  EXPECT_EQ(AesOps(core), 20u);
+  EXPECT_EQ(core.counters().corruptions, 20u);
   // Self-inverting: enc then dec with the wrong schedule is the identity...
   AesBlock block = {1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 121, 98, 76};
   EXPECT_EQ(AesDecryptBlock(bad, AesEncryptBlock(bad, block)), block);
   // ...but decryption elsewhere (with the correct schedule) yields gibberish.
   EXPECT_NE(AesDecryptBlock(good, AesEncryptBlock(bad, block)), block);
+}
+
+TEST(DefectTest, RconDefectWithDataTriggerCorruptsOnlyItsRound) {
+  const uint8_t key[16] = {9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6};
+  const AesKeySchedule good = ExpandAesKey(key);
+  const AesKeySchedule expected = ExpandAesKey(key, XoredRcons(0x10, 1u << 2));
+  for (bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path" : "reference path");
+    SimCore core = HealthyCore();
+    core.set_fast_path(fast_path);
+    DefectSpec spec = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt);
+    spec.opcode_mask = 1ull << kAesOpRcon;
+    spec.xor_mask = 0x10;
+    spec.trigger.mask = ~0ull;
+    spec.trigger.value = 3;  // an rcon op's operand signature is its round number
+    core.AddDefect(spec);
+
+    const AesKeySchedule bad = core.ExpandKey(key);
+    for (int r = 0; r <= kAesRounds; ++r) {
+      EXPECT_EQ(bad.round_keys[r], expected.round_keys[r]) << "round key " << r;
+    }
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(bad.round_keys[r], good.round_keys[r]) << "round key " << r;
+    }
+    EXPECT_NE(bad.round_keys[3], good.round_keys[3]);
+    EXPECT_EQ(AesOps(core), 10u);
+    EXPECT_EQ(core.counters().corruptions, 1u);
+  }
 }
 
 TEST(DefectTest, MachineCheckEscalation) {

@@ -22,6 +22,101 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 
 // --- AES ---------------------------------------------------------------------------------
 
+// FIPS-197 §5 transformations, byte by byte, built only from the public S-box and GF(2^8)
+// multiply: the oracle the table-driven rounds and the word-wise key expansion must match.
+void SpecSubBytes(AesBlock& s, uint8_t (*sub)(uint8_t)) {
+  for (auto& b : s) {
+    b = sub(b);
+  }
+}
+
+// Row r rotates left by r columns (ShiftRows), or right when `inverse` (InvShiftRows).
+void SpecShiftRows(AesBlock& s, bool inverse) {
+  const AesBlock t = s;
+  for (int r = 1; r < 4; ++r) {
+    for (int c = 0; c < 4; ++c) {
+      const int shifted = r + 4 * ((c + r) % 4);
+      if (inverse) {
+        s[shifted] = t[r + 4 * c];
+      } else {
+        s[r + 4 * c] = t[shifted];
+      }
+    }
+  }
+}
+
+// Multiplies every column by the circulant matrix whose first row is `row`.
+void SpecMixColumns(AesBlock& s, const uint8_t (&row)[4]) {
+  for (int c = 0; c < 4; ++c) {
+    uint8_t column[4] = {};
+    for (int r = 0; r < 4; ++r) {
+      for (int j = 0; j < 4; ++j) {
+        column[r] ^= AesGfMul(row[(j - r + 4) % 4], s[j + 4 * c]);
+      }
+    }
+    std::memcpy(&s[4 * c], column, 4);
+  }
+}
+
+void SpecAddRoundKey(AesBlock& s, const AesBlock& k) {
+  for (size_t i = 0; i < kAesBlockBytes; ++i) {
+    s[i] ^= k[i];
+  }
+}
+
+AesBlock SpecEncRound(AesBlock s, const AesBlock& k, bool last) {
+  SpecSubBytes(s, AesSubByte);
+  SpecShiftRows(s, /*inverse=*/false);
+  if (!last) {
+    SpecMixColumns(s, {0x02, 0x03, 0x01, 0x01});
+  }
+  SpecAddRoundKey(s, k);
+  return s;
+}
+
+AesBlock SpecDecRound(AesBlock s, const AesBlock& k, bool last) {
+  SpecAddRoundKey(s, k);
+  if (!last) {
+    SpecMixColumns(s, {0x0e, 0x0b, 0x0d, 0x09});
+  }
+  SpecShiftRows(s, /*inverse=*/true);
+  SpecSubBytes(s, AesInvSubByte);
+  return s;
+}
+
+// KeyExpansion (§5.2) on bytes: w[i] = w[i-4] ^ SubWord(RotWord(w[i-1])) ^ Rcon when i % 4 == 0.
+AesKeySchedule SpecKeyExpansion(const uint8_t key[kAesKeyBytes], const AesRconArray& rcon) {
+  uint8_t w[4 * 4 * (kAesRounds + 1)];
+  std::memcpy(w, key, kAesKeyBytes);
+  for (int i = 4; i < 4 * (kAesRounds + 1); ++i) {
+    uint8_t temp[4];
+    std::memcpy(temp, &w[4 * (i - 1)], 4);
+    if (i % 4 == 0) {
+      const uint8_t first = temp[0];
+      temp[0] = static_cast<uint8_t>(AesSubByte(temp[1]) ^ rcon[i / 4 - 1]);
+      temp[1] = AesSubByte(temp[2]);
+      temp[2] = AesSubByte(temp[3]);
+      temp[3] = AesSubByte(first);
+    }
+    for (int b = 0; b < 4; ++b) {
+      w[4 * i + b] = static_cast<uint8_t>(w[4 * (i - 4) + b] ^ temp[b]);
+    }
+  }
+  AesKeySchedule schedule;
+  for (int r = 0; r <= kAesRounds; ++r) {
+    std::memcpy(schedule.round_keys[r].data(), &w[16 * r], 16);
+  }
+  return schedule;
+}
+
+AesRconArray StandardRcons() {
+  AesRconArray rcon{};
+  for (int r = 1; r <= kAesRounds; ++r) {
+    rcon[r - 1] = StandardAesRcon(r);
+  }
+  return rcon;
+}
+
 TEST(AesTest, Fips197AppendixBVector) {
   // FIPS-197 Appendix B: key 2b7e151628aed2a6abf7158809cf4f3c,
   // plaintext 3243f6a8885a308d313198a2e0370734 -> ciphertext 3925841d02dc09fbdc118597196a0b32.
@@ -88,6 +183,47 @@ TEST(AesTest, DecRoundInvertsEncRound) {
   }
 }
 
+TEST(AesTest, RoundsMatchFips197Transformations) {
+  Rng rng(5);
+  for (int trial = 0; trial < 100000; ++trial) {
+    AesBlock state;
+    AesBlock round_key;
+    rng.FillBytes(state.data(), state.size());
+    rng.FillBytes(round_key.data(), round_key.size());
+    const bool last = (rng.NextU64() & 1) != 0;
+    ASSERT_EQ(AesEncRound(state, round_key, last), SpecEncRound(state, round_key, last))
+        << "trial " << trial << " last " << last;
+    ASSERT_EQ(AesDecRound(state, round_key, last), SpecDecRound(state, round_key, last))
+        << "trial " << trial << " last " << last;
+  }
+}
+
+TEST(AesTest, Fips197AppendixBRoundOne) {
+  // FIPS-197 Appendix B: the start of round 1 with round key 1 gives the start of round 2.
+  const AesBlock round1 = {0x19, 0x3d, 0xe3, 0xbe, 0xa0, 0xf4, 0xe2, 0x2b,
+                           0x9a, 0xc6, 0x8d, 0x2a, 0xe9, 0xf8, 0x48, 0x08};
+  const AesBlock key1 = {0xa0, 0xfa, 0xfe, 0x17, 0x88, 0x54, 0x2c, 0xb1,
+                         0x23, 0xa3, 0x39, 0x39, 0x2a, 0x6c, 0x76, 0x05};
+  const AesBlock round2 = {0xa4, 0x9c, 0x7f, 0xf2, 0x68, 0x9f, 0x35, 0x2b,
+                           0x6b, 0x5b, 0xea, 0x43, 0x02, 0x6a, 0x50, 0x49};
+  EXPECT_EQ(AesEncRound(round1, key1, /*last=*/false), round2);
+  EXPECT_EQ(AesDecRound(round2, key1, /*last=*/false), round1);
+}
+
+TEST(AesTest, KeyExpansionMatchesByteWiseSpec) {
+  Rng rng(6);
+  for (int trial = 0; trial < 1000; ++trial) {
+    uint8_t key[kAesKeyBytes];
+    rng.FillBytes(key, sizeof(key));
+    AesRconArray rcon{};
+    rng.FillBytes(rcon.data(), rcon.size());
+    EXPECT_EQ(ExpandAesKey(key, rcon).round_keys, SpecKeyExpansion(key, rcon).round_keys)
+        << "trial " << trial;
+    EXPECT_EQ(ExpandAesKey(key).round_keys, SpecKeyExpansion(key, StandardRcons()).round_keys)
+        << "trial " << trial;
+  }
+}
+
 TEST(AesTest, SboxIsABijectionAndInverseMatches) {
   std::vector<bool> seen(256, false);
   for (int i = 0; i < 256; ++i) {
@@ -128,9 +264,10 @@ TEST(AesTest, StandardRconSequence) {
 TEST(AesTest, CorruptedRconChangesScheduleDeterministically) {
   uint8_t key[16] = {};
   const AesKeySchedule golden = ExpandAesKey(key);
-  const AesRconFn bad_rcon = [](int round) {
-    return static_cast<uint8_t>(StandardAesRcon(round) ^ 0x10);
-  };
+  AesRconArray bad_rcon = StandardRcons();
+  for (auto& rcon : bad_rcon) {
+    rcon ^= 0x10;
+  }
   const AesKeySchedule bad1 = ExpandAesKey(key, bad_rcon);
   const AesKeySchedule bad2 = ExpandAesKey(key, bad_rcon);
   EXPECT_NE(bad1.round_keys[10], golden.round_keys[10]);
