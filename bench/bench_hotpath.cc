@@ -141,8 +141,7 @@ DispatchResult RunDispatch(uint64_t ops, uint64_t seed, bool fast_path) {
 
 struct StudyResult {
   double seconds = 0.0;
-  uint64_t work_units = 0;
-  uint64_t screen_failures = 0;
+  StudyReport report;
 };
 
 StudyResult RunStudy(size_t machines, int days, uint64_t seed, bool fast_path,
@@ -159,13 +158,11 @@ StudyResult RunStudy(size_t machines, int days, uint64_t seed, bool fast_path,
   options.trace = trace;
   FleetStudy study(options);
   SetDispatchFastPath(true);  // restore the default for anything constructed later
-  const auto start = std::chrono::steady_clock::now();
-  const StudyReport report = study.Run();
-  const auto stop = std::chrono::steady_clock::now();
   StudyResult result;
+  const auto start = std::chrono::steady_clock::now();
+  result.report = study.Run();
+  const auto stop = std::chrono::steady_clock::now();
   result.seconds = std::chrono::duration<double>(stop - start).count();
-  result.work_units = report.work_units_executed;
-  result.screen_failures = report.screen_failures;
   return result;
 }
 
@@ -236,16 +233,15 @@ int main(int argc, char** argv) {
   }
   const double study_ref_s = MedianSeconds(study_ref_times);
   const double study_fast_s = MedianSeconds(study_fast_times);
-  const bool study_match = study_ref.work_units == study_fast.work_units &&
-                           study_ref.screen_failures == study_fast.screen_failures;
+  const bool study_match = study_ref.report == study_fast.report;
 
   std::printf("# hotpath — end-to-end: %zu machines, %d days, 1 shard, median of %d\n",
               machines, days, repeats);
   std::printf("%-24s %12s %16s %10s\n", "config", "wall_s", "work_units/sec", "speedup");
   std::printf("%-24s %12.3f %16.0f %9.2fx\n", "reference path", study_ref_s,
-              static_cast<double>(study_ref.work_units) / study_ref_s, 1.0);
+              static_cast<double>(study_ref.report.work_units_executed) / study_ref_s, 1.0);
   std::printf("%-24s %12.3f %16.0f %9.2fx\n", "fast path", study_fast_s,
-              static_cast<double>(study_fast.work_units) / study_fast_s,
+              static_cast<double>(study_fast.report.work_units_executed) / study_fast_s,
               study_ref_s / study_fast_s);
   std::printf("# study outputs bit-identical: %s\n", study_match ? "yes" : "NO — BUG");
 
@@ -311,13 +307,13 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"machines\": %zu,\n", machines);
     std::fprintf(f, "    \"days\": %d,\n", days);
     std::fprintf(f, "    \"work_units\": %llu,\n",
-                 static_cast<unsigned long long>(study_fast.work_units));
+                 static_cast<unsigned long long>(study_fast.report.work_units_executed));
     std::fprintf(f, "    \"reference_wall_seconds\": %.6f,\n", study_ref_s);
     std::fprintf(f, "    \"fast_wall_seconds\": %.6f,\n", study_fast_s);
     std::fprintf(f, "    \"reference_work_units_per_sec\": %.0f,\n",
-                 static_cast<double>(study_ref.work_units) / study_ref_s);
+                 static_cast<double>(study_ref.report.work_units_executed) / study_ref_s);
     std::fprintf(f, "    \"fast_work_units_per_sec\": %.0f,\n",
-                 static_cast<double>(study_fast.work_units) / study_fast_s);
+                 static_cast<double>(study_fast.report.work_units_executed) / study_fast_s);
     std::fprintf(f, "    \"speedup\": %.4f,\n", study_ref_s / study_fast_s);
     std::fprintf(f, "    \"outputs_bit_identical\": %s\n", study_match ? "true" : "false");
     std::fprintf(f, "  },\n");

@@ -54,11 +54,7 @@ struct LadderRow {
   int threads = 1;
   bool sparse = true;
   double seconds = 0.0;  // median over repeats
-  size_t cores = 0;
-  uint64_t work_units = 0;
-  uint64_t screen_failures = 0;
-  uint64_t screening_ops = 0;
-  uint64_t silent_corruptions = 0;
+  StudyReport report;
   unsigned hardware_threads = 0;
   bool underprovisioned = false;  // threads > hardware_concurrency
   // Sparse-engine internals (all zero on dense rows): due-wheel traffic/occupancy and the
@@ -130,11 +126,7 @@ LadderRow RunRow(const std::string& label, const StudyOptions& base, int shards,
     const auto stop = std::chrono::steady_clock::now();
     samples.push_back(std::chrono::duration<double>(stop - start).count());
     // Identical every repeat (the engine is deterministic), so last-write is fine.
-    row.cores = report.cores;
-    row.work_units = report.work_units_executed;
-    row.screen_failures = report.screen_failures;
-    row.screening_ops = report.screening_ops;
-    row.silent_corruptions = report.silent_corruptions;
+    row.report = report;
     const MetricRegistry& metrics = study.metrics();
     row.wheel_scheduled = metrics.counter("screening.wheel_scheduled");
     row.wheel_drained = metrics.counter("screening.wheel_drained");
@@ -146,13 +138,6 @@ LadderRow RunRow(const std::string& label, const StudyOptions& base, int shards,
   }
   row.seconds = MedianSeconds(samples);
   return row;
-}
-
-// The sparse engine must stay an execution detail: every report-level observable the rows
-// capture has to match the dense oracle bit for bit.
-bool RowsBitConsistent(const LadderRow& a, const LadderRow& b) {
-  return a.work_units == b.work_units && a.screen_failures == b.screen_failures &&
-         a.screening_ops == b.screening_ops && a.silent_corruptions == b.silent_corruptions;
 }
 
 void PrintRowJson(std::FILE* f, const LadderRow& row, double serial_s, double sharded_t1_s,
@@ -168,9 +153,10 @@ void PrintRowJson(std::FILE* f, const LadderRow& row, double serial_s, double sh
                "\"wheel_peak_occupancy\": %llu, \"active_admitted\": %llu, "
                "\"latent_at_end\": %llu}%s\n",
                row.label.c_str(), row.shards, row.threads, row.sparse ? "true" : "false",
-               row.cores, row.seconds, serial_s / row.seconds, sharded_t1_s / row.seconds,
-               static_cast<unsigned long long>(row.work_units),
-               static_cast<unsigned long long>(row.screening_ops), row.hardware_threads,
+               row.report.cores, row.seconds, serial_s / row.seconds,
+               sharded_t1_s / row.seconds,
+               static_cast<unsigned long long>(row.report.work_units_executed),
+               static_cast<unsigned long long>(row.report.screening_ops), row.hardware_threads,
                row.underprovisioned ? "true" : "false",
                static_cast<unsigned long long>(row.wheel_scheduled),
                static_cast<unsigned long long>(row.wheel_drained),
@@ -255,9 +241,7 @@ int main(int argc, char** argv) {
   // invariance); the 1-shard row is a different stream layout and may legitimately differ.
   bool deterministic = true;
   for (size_t i = 2; i < rows.size(); ++i) {
-    if (!RowsBitConsistent(rows[i], rows[1])) {
-      deterministic = false;
-    }
+    deterministic = deterministic && rows[i].report == rows[1].report;
   }
   std::printf("# sharded rows bit-consistent: %s\n", deterministic ? "yes" : "NO — BUG");
 
@@ -277,11 +261,12 @@ int main(int argc, char** argv) {
     const LadderRow& dense = big_rows[0];
     const LadderRow& sparse = big_rows[1];
     sparse_speedup = dense.seconds / sparse.seconds;
-    sparse_consistent = RowsBitConsistent(dense, sparse);
+    // The sparse engine must stay an execution detail: its report equals the dense oracle's.
+    sparse_consistent = dense.report == sparse.report;
     std::printf("%-24s %12s %12s %10s\n", "config", "cores", "wall_s", "speedup");
-    std::printf("%-24s %12zu %12.3f %9s\n", dense.label.c_str(), dense.cores, dense.seconds,
-                "1.00x");
-    std::printf("%-24s %12zu %12.3f %9.2fx\n", sparse.label.c_str(), sparse.cores,
+    std::printf("%-24s %12zu %12.3f %9s\n", dense.label.c_str(), dense.report.cores,
+                dense.seconds, "1.00x");
+    std::printf("%-24s %12zu %12.3f %9.2fx\n", sparse.label.c_str(), sparse.report.cores,
                 sparse.seconds, sparse_speedup);
     std::printf(
         "# wheel: scheduled=%llu drained=%llu overflow=%llu max_bucket=%llu peak=%llu; "

@@ -57,6 +57,7 @@ struct ChaosRow {
   uint64_t true_positive_retirements = 0;
   double stranded_fraction = 0.0;  // pending-isolation core-time / total core-time
   double suspects_per_sec = 0.0;
+  StudyReport report;
 };
 
 StudyOptions BaseOptions(uint64_t seed, size_t machines, int days, double budget) {
@@ -92,6 +93,7 @@ ChaosRow RunOnce(ChaosRow row, const StudyOptions& base, bool fast_path = true) 
   const StudyReport report = study.Run();
   const auto stop = std::chrono::steady_clock::now();
   row.seconds = std::chrono::duration<double>(stop - start).count();
+  row.report = report;
   row.suspects_admitted = report.control_plane.suspects_admitted;
   row.suspects_shed = report.control_plane.suspects_shed;
   row.retries = report.control_plane.retries_scheduled;
@@ -235,9 +237,7 @@ int main(int argc, char** argv) {
   }
   std::printf("# stranded capacity within budget in every row: %s\n",
               budget_held ? "yes" : "NO — BUG");
-  const bool reference_match = reference.suspects_admitted == rows[0].suspects_admitted &&
-                               reference.true_positive_retirements ==
-                                   rows[0].true_positive_retirements;
+  const bool reference_match = reference.report == rows[0].report;
   std::printf(
       "# dispatch fast path: %.3fs vs %.3fs reference on chaos off (%.2fx); outputs "
       "identical: %s\n",

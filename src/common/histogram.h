@@ -45,6 +45,8 @@ class Histogram {
 
   std::string ToString() const;
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   double lo_;
   double hi_;

@@ -172,6 +172,8 @@ struct DurabilityStats {
   uint64_t reconcile_reinstated_unknown = 0;
   uint64_t reconcile_dropped_pending = 0;
   uint64_t reconcile_dropped_probation = 0;
+
+  bool operator==(const DurabilityStats&) const = default;
 };
 
 struct StudyReport {
@@ -230,6 +232,8 @@ struct StudyReport {
   // part of the bit-identity contract between crashed and uncrashed studies — it is the one
   // field that records that crashes happened at all.
   DurabilityStats durability;
+
+  bool operator==(const StudyReport&) const = default;
 };
 
 // ShardRange and PartitionCores moved to src/core/active_index.h (included above) so the

@@ -104,6 +104,8 @@ struct ChaosStats {
   uint64_t witnesses_lied = 0;        // votes (or lone-tester verdicts) flipped in flight
   uint64_t witnesses_crashed = 0;     // witnesses that died mid-vote and cast nothing
   uint64_t probation_signals_suppressed = 0;  // shadow-screen confessions swallowed in flight
+
+  bool operator==(const ChaosStats&) const = default;
 };
 
 // Wire round trip for a ChaosStats block, shared by the serializers that embed one (the

@@ -130,6 +130,8 @@ struct ControlPlaneStats {
   uint64_t probation_pending_at_end = 0;
   QuorumStats quorum;
   ChaosStats chaos;
+
+  bool operator==(const ControlPlaneStats&) const = default;
 };
 
 class QuarantineControlPlane {

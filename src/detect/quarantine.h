@@ -81,6 +81,8 @@ struct QuarantineStats {
   uint64_t true_positive_retirements = 0;   // retired cores that really were mercurial
   uint64_t false_positive_retirements = 0;  // retired healthy cores
   uint64_t missed_confessions = 0;  // truly mercurial suspects that did not confess
+
+  bool operator==(const QuarantineStats&) const = default;
 };
 
 struct QuarantineVerdict {

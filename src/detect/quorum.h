@@ -91,6 +91,8 @@ struct QuorumStats {
   uint64_t escalations = 0;   // wider quorums convened after a split
   uint64_t fallbacks = 0;     // judgments that fell back to the single tester's verdict
   uint64_t overrides = 0;     // judgments whose majority disagreed with the single tester
+
+  bool operator==(const QuorumStats&) const = default;
 };
 
 // One battery's quorum outcome.

@@ -38,11 +38,9 @@ namespace mercurial {
 struct ProvenanceTag {
   uint64_t core_global = 0;
   uint64_t epoch = 0;
-};
 
-inline bool operator==(const ProvenanceTag& a, const ProvenanceTag& b) {
-  return a.core_global == b.core_global && a.epoch == b.epoch;
-}
+  bool operator==(const ProvenanceTag&) const = default;
+};
 
 // What kind of artifact a work unit persisted as, which decides the repair action available
 // after conviction: checksummed writes re-verify against their CRC, replicated-log epochs

@@ -66,6 +66,8 @@ struct SchedulerStats {
   // risk-adaptive allocator is on.
   uint64_t screen_drains_by_tier[kScreenRiskTierCount] = {};
   double screen_migration_cost_by_tier[kScreenRiskTierCount] = {};
+
+  bool operator==(const SchedulerStats&) const = default;
 };
 
 class CoreScheduler {

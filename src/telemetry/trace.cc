@@ -124,16 +124,6 @@ const char* TraceCauseName(TraceCause cause) {
   return "unknown";
 }
 
-bool operator==(const TraceEvent& a, const TraceEvent& b) {
-  return a.time_seconds == b.time_seconds && a.core == b.core && a.epoch == b.epoch &&
-         a.kind == b.kind && a.cause == b.cause && a.detail == b.detail;
-}
-
-bool operator==(const TraceCounters& a, const TraceCounters& b) {
-  return a.events_emitted == b.events_emitted && a.events_recorded == b.events_recorded &&
-         a.events_dropped == b.events_dropped && a.events_sampled_out == b.events_sampled_out;
-}
-
 Status TraceOptions::Validate() const {
   if (ring_capacity == 0) {
     return InvalidArgumentError("trace.ring_capacity must be positive");

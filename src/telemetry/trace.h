@@ -130,9 +130,9 @@ struct TraceEvent {
   uint64_t detail = 0;
 
   SimTime time() const { return SimTime::Seconds(time_seconds); }
-};
 
-bool operator==(const TraceEvent& a, const TraceEvent& b);
+  bool operator==(const TraceEvent&) const = default;
+};
 
 // Recorder configuration, part of StudyOptions. Disabled by default: a null recorder costs
 // one branch on the rare emit paths and nothing on the hot dispatch loop.
@@ -162,15 +162,17 @@ struct TraceCounters {
   uint64_t events_recorded = 0;
   uint64_t events_dropped = 0;
   uint64_t events_sampled_out = 0;
-};
 
-bool operator==(const TraceCounters& a, const TraceCounters& b);
+  bool operator==(const TraceCounters&) const = default;
+};
 
 // The assembled, shard-merged trace: events ordered by (time, owning shard, ring order).
 struct IncidentTrace {
   uint32_t shards = 0;
   std::vector<TraceEvent> events;
   TraceCounters counters;
+
+  bool operator==(const IncidentTrace&) const = default;
 };
 
 // Per-core incident flight recorder. Construction mirrors the fleet engine's core partition:

@@ -41,30 +41,6 @@ CeeReportService MakeService(Fleet& fleet) {
   });
 }
 
-void ExpectQuarantineStatsEqual(const QuarantineStats& a, const QuarantineStats& b) {
-  EXPECT_EQ(a.suspects_processed, b.suspects_processed);
-  EXPECT_EQ(a.accusations, b.accusations);
-  EXPECT_EQ(a.confessions, b.confessions);
-  EXPECT_EQ(a.releases, b.releases);
-  EXPECT_EQ(a.retirements, b.retirements);
-  EXPECT_EQ(a.recidivism_retirements, b.recidivism_retirements);
-  EXPECT_EQ(a.interrogation_ops, b.interrogation_ops);
-  EXPECT_EQ(a.true_positive_retirements, b.true_positive_retirements);
-  EXPECT_EQ(a.false_positive_retirements, b.false_positive_retirements);
-  EXPECT_EQ(a.missed_confessions, b.missed_confessions);
-}
-
-void ExpectSchedulerStatsEqual(const SchedulerStats& a, const SchedulerStats& b) {
-  EXPECT_EQ(a.drains, b.drains);
-  EXPECT_EQ(a.surprise_removals, b.surprise_removals);
-  EXPECT_EQ(a.quarantines, b.quarantines);
-  EXPECT_EQ(a.releases, b.releases);
-  EXPECT_EQ(a.retirements, b.retirements);
-  EXPECT_EQ(a.migration_cost_core_seconds, b.migration_cost_core_seconds);
-  EXPECT_EQ(a.lost_work_core_seconds, b.lost_work_core_seconds);
-  EXPECT_EQ(a.stranded_core_seconds, b.stranded_core_seconds);
-}
-
 // --- Options validation ---------------------------------------------------------------------
 
 TEST(ControlPlaneOptionsTest, DefaultsAreValid) {
@@ -466,8 +442,8 @@ TEST(ControlPlaneTest, EquivalentToLegacyProcessAtDefaults) {
     sched_b.AccumulateStranding(dt);
   }
 
-  ExpectQuarantineStatsEqual(legacy.stats(), plane.manager().stats());
-  ExpectSchedulerStatsEqual(sched_a.stats(), sched_b.stats());
+  EXPECT_TRUE(legacy.stats() == plane.manager().stats());
+  EXPECT_TRUE(sched_a.stats() == sched_b.stats());
   EXPECT_GT(legacy.stats().retirements, 0u) << "workload must exercise the verdict paths";
   EXPECT_GT(legacy.stats().releases, 0u);
 
@@ -738,7 +714,7 @@ TEST(ControlPlaneTest, FaithfulQuorumMatchesQuorumOffVerdicts) {
       EXPECT_EQ(verdicts_a[v].retired, verdicts_b[v].retired) << "day " << day;
     }
   }
-  ExpectQuarantineStatsEqual(plane_a.manager().stats(), plane_b.manager().stats());
+  EXPECT_TRUE(plane_a.manager().stats() == plane_b.manager().stats());
   EXPECT_GT(plane_b.stats().quorum.judgments, 0u) << "the quorum must actually judge";
   EXPECT_EQ(plane_b.stats().quorum.overrides, 0u) << "faithful witnesses never overturn";
   EXPECT_EQ(plane_b.stats().quorum.fallbacks, 0u);
@@ -1084,6 +1060,8 @@ struct PipelineOutcome {
   SchedulerStats scheduler;
   size_t core_count = 0;
   int64_t duration_seconds = 0;
+
+  bool operator==(const PipelineOutcome&) const = default;
 };
 
 // Drives a perfectly informed accusation stream (every truly mercurial core accused daily)
@@ -1174,19 +1152,7 @@ TEST(ControlPlaneTest, ChaosPipelineIsDeterministicUnderFixedSeed) {
 
   const PipelineOutcome a = RunChaosPipeline(options, 99, /*days=*/45);
   const PipelineOutcome b = RunChaosPipeline(options, 99, /*days=*/45);
-  ExpectQuarantineStatsEqual(a.quarantine, b.quarantine);
-  ExpectSchedulerStatsEqual(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.plane.suspects_admitted, b.plane.suspects_admitted);
-  EXPECT_EQ(a.plane.suspects_shed, b.plane.suspects_shed);
-  EXPECT_EQ(a.plane.retries_scheduled, b.plane.retries_scheduled);
-  EXPECT_EQ(a.plane.drain_escalations, b.plane.drain_escalations);
-  EXPECT_EQ(a.plane.guardrail_releases, b.plane.guardrail_releases);
-  EXPECT_EQ(a.plane.restarts_reset, b.plane.restarts_reset);
-  EXPECT_EQ(a.plane.pending_isolation_core_seconds, b.plane.pending_isolation_core_seconds);
-  EXPECT_EQ(a.plane.chaos.reports_dropped, b.plane.chaos.reports_dropped);
-  EXPECT_EQ(a.plane.chaos.reports_delayed, b.plane.chaos.reports_delayed);
-  EXPECT_EQ(a.plane.chaos.interrogations_aborted, b.plane.chaos.interrogations_aborted);
-  EXPECT_EQ(a.plane.chaos.machine_restarts, b.plane.chaos.machine_restarts);
+  EXPECT_TRUE(a == b);
 }
 
 // --- Whole-study integration ----------------------------------------------------------------
@@ -1222,22 +1188,7 @@ TEST(ControlPlaneStudyTest, ChaoticStudyIsThreadCountInvariant) {
   FleetStudy study_4(ChaosStudyOptions(4));
   const StudyReport b = study_4.Run();
 
-  ExpectQuarantineStatsEqual(a.quarantine, b.quarantine);
-  ExpectSchedulerStatsEqual(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.work_units_executed, b.work_units_executed);
-  EXPECT_EQ(a.silent_corruptions, b.silent_corruptions);
-  EXPECT_EQ(a.screen_failures, b.screen_failures);
-  EXPECT_EQ(a.mercurial_retired, b.mercurial_retired);
-  EXPECT_EQ(a.control_plane.suspects_admitted, b.control_plane.suspects_admitted);
-  EXPECT_EQ(a.control_plane.suspects_shed, b.control_plane.suspects_shed);
-  EXPECT_EQ(a.control_plane.retries_scheduled, b.control_plane.retries_scheduled);
-  EXPECT_EQ(a.control_plane.guardrail_releases, b.control_plane.guardrail_releases);
-  EXPECT_EQ(a.control_plane.restarts_reset, b.control_plane.restarts_reset);
-  EXPECT_EQ(a.control_plane.pending_isolation_core_seconds,
-            b.control_plane.pending_isolation_core_seconds);
-  EXPECT_EQ(a.control_plane.chaos.reports_dropped, b.control_plane.chaos.reports_dropped);
-  EXPECT_EQ(a.control_plane.chaos.interrogations_aborted,
-            b.control_plane.chaos.interrogations_aborted);
+  EXPECT_TRUE(a == b);
   EXPECT_GT(a.control_plane.chaos.reports_dropped, 0u) << "chaos must be active in this study";
 }
 

@@ -56,12 +56,8 @@ TEST(FleetStudyTest, DeterministicUnderSeed) {
   FleetStudy b(SmallStudy(11));
   const StudyReport ra = a.Run();
   const StudyReport rb = b.Run();
-  EXPECT_EQ(ra.work_units_executed, rb.work_units_executed);
-  EXPECT_EQ(ra.silent_corruptions, rb.silent_corruptions);
-  EXPECT_EQ(ra.quarantine.retirements, rb.quarantine.retirements);
-  EXPECT_EQ(ra.screen_failures, rb.screen_failures);
-  EXPECT_EQ(ra.weekly_auto_rate, rb.weekly_auto_rate);
-  EXPECT_EQ(ra.weekly_user_rate, rb.weekly_user_rate);
+  EXPECT_GT(ra.work_units_executed, 0u);
+  EXPECT_TRUE(ra == rb);
 }
 
 TEST(FleetStudyTest, SeedsChangeOutcomes) {

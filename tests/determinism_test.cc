@@ -72,169 +72,16 @@ StudyReport RunStudy(const StudyOptions& options) {
   return study.Run();
 }
 
-// Full structural equality over StudyReport — the equivalence oracle. EXPECT_* on every field
-// so a divergence names exactly what broke.
+// The equivalence oracle: StudyReport's defaulted operator== covers every field, the trace
+// included. The blocks are compared first so that a failure names the one that diverged.
 void ExpectReportsEqual(const StudyReport& a, const StudyReport& b) {
-  EXPECT_EQ(a.machines, b.machines);
-  EXPECT_EQ(a.cores, b.cores);
-  EXPECT_EQ(a.true_mercurial_cores, b.true_mercurial_cores);
-
-  // Fig. 1 weekly series: element-wise exact (doubles must be bit-identical, so == is right).
-  ASSERT_EQ(a.weekly_user_rate.size(), b.weekly_user_rate.size());
-  ASSERT_EQ(a.weekly_auto_rate.size(), b.weekly_auto_rate.size());
-  for (size_t w = 0; w < a.weekly_user_rate.size(); ++w) {
-    EXPECT_EQ(a.weekly_user_rate[w], b.weekly_user_rate[w]) << "user week " << w;
-  }
-  for (size_t w = 0; w < a.weekly_auto_rate.size(); ++w) {
-    EXPECT_EQ(a.weekly_auto_rate[w], b.weekly_auto_rate[w]) << "auto week " << w;
-  }
-
-  for (int s = 0; s < kSymptomCount; ++s) {
-    EXPECT_EQ(a.symptom_counts[s], b.symptom_counts[s])
-        << "symptom " << SymptomName(static_cast<Symptom>(s));
-  }
-  EXPECT_EQ(a.work_units_executed, b.work_units_executed);
-  EXPECT_EQ(a.silent_corruptions, b.silent_corruptions);
-
-  // Quarantine stats, field by field.
-  EXPECT_EQ(a.quarantine.suspects_processed, b.quarantine.suspects_processed);
-  EXPECT_EQ(a.quarantine.confessions, b.quarantine.confessions);
-  EXPECT_EQ(a.quarantine.releases, b.quarantine.releases);
-  EXPECT_EQ(a.quarantine.retirements, b.quarantine.retirements);
-  EXPECT_EQ(a.quarantine.recidivism_retirements, b.quarantine.recidivism_retirements);
-  EXPECT_EQ(a.quarantine.interrogation_ops, b.quarantine.interrogation_ops);
-  EXPECT_EQ(a.quarantine.true_positive_retirements, b.quarantine.true_positive_retirements);
-  EXPECT_EQ(a.quarantine.false_positive_retirements, b.quarantine.false_positive_retirements);
-  EXPECT_EQ(a.quarantine.missed_confessions, b.quarantine.missed_confessions);
-  EXPECT_EQ(a.quarantine.probation_entries, b.quarantine.probation_entries);
-  EXPECT_EQ(a.quarantine.probation_escalations, b.quarantine.probation_escalations);
-  EXPECT_EQ(a.quarantine.reinstatements, b.quarantine.reinstatements);
-
-  // Scheduler stats, including the floating-point cost accumulators (accumulated in a fixed
-  // merge order, so exact equality is required, not approximate).
-  EXPECT_EQ(a.scheduler.drains, b.scheduler.drains);
-  EXPECT_EQ(a.scheduler.surprise_removals, b.scheduler.surprise_removals);
-  EXPECT_EQ(a.scheduler.quarantines, b.scheduler.quarantines);
-  EXPECT_EQ(a.scheduler.releases, b.scheduler.releases);
-  EXPECT_EQ(a.scheduler.retirements, b.scheduler.retirements);
-  EXPECT_EQ(a.scheduler.migration_cost_core_seconds, b.scheduler.migration_cost_core_seconds);
-  EXPECT_EQ(a.scheduler.lost_work_core_seconds, b.scheduler.lost_work_core_seconds);
-  EXPECT_EQ(a.scheduler.stranded_core_seconds, b.scheduler.stranded_core_seconds);
-  EXPECT_EQ(a.scheduler.probations, b.scheduler.probations);
-  EXPECT_EQ(a.scheduler.reinstatements, b.scheduler.reinstatements);
-  EXPECT_EQ(a.scheduler.probation_core_seconds, b.scheduler.probation_core_seconds);
-  for (int t = 0; t < kScreenRiskTierCount; ++t) {
-    EXPECT_EQ(a.scheduler.screen_drains_by_tier[t], b.scheduler.screen_drains_by_tier[t])
-        << "screen drains, risk tier " << t;
-    EXPECT_EQ(a.scheduler.screen_migration_cost_by_tier[t],
-              b.scheduler.screen_migration_cost_by_tier[t])
-        << "screen migration cost, risk tier " << t;
-  }
-
-  // Control-plane pipeline accounting. screening_deferrals in particular is driven by the
-  // guardrail's ThrottleOffline, whose sparse path rebuckets due-wheel entries — any
-  // over/under-deferral in the wheel window extraction shows up here first.
-  EXPECT_EQ(a.control_plane.suspects_admitted, b.control_plane.suspects_admitted);
-  EXPECT_EQ(a.control_plane.suspects_shed, b.control_plane.suspects_shed);
-  EXPECT_EQ(a.control_plane.queue_peak, b.control_plane.queue_peak);
-  EXPECT_EQ(a.control_plane.retries_scheduled, b.control_plane.retries_scheduled);
-  EXPECT_EQ(a.control_plane.retry_interrogations, b.control_plane.retry_interrogations);
-  EXPECT_EQ(a.control_plane.drain_escalations, b.control_plane.drain_escalations);
-  EXPECT_EQ(a.control_plane.guardrail_activations, b.control_plane.guardrail_activations);
-  EXPECT_EQ(a.control_plane.guardrail_releases, b.control_plane.guardrail_releases);
-  EXPECT_EQ(a.control_plane.screening_deferrals, b.control_plane.screening_deferrals);
-  EXPECT_EQ(a.control_plane.restarts_reset, b.control_plane.restarts_reset);
-  EXPECT_EQ(a.control_plane.peak_pending_isolation, b.control_plane.peak_pending_isolation);
-  EXPECT_EQ(a.control_plane.pending_isolation_core_seconds,
-            b.control_plane.pending_isolation_core_seconds);
-  EXPECT_EQ(a.control_plane.pending_at_end, b.control_plane.pending_at_end);
-
-  // Quorum verdicts, probation backlog, and testimony chaos: the untrusted-interrogator
-  // machinery must also be execution-invariant.
-  EXPECT_EQ(a.control_plane.quorum.judgments, b.control_plane.quorum.judgments);
-  EXPECT_EQ(a.control_plane.quorum.votes_cast, b.control_plane.quorum.votes_cast);
-  EXPECT_EQ(a.control_plane.quorum.splits, b.control_plane.quorum.splits);
-  EXPECT_EQ(a.control_plane.quorum.escalations, b.control_plane.quorum.escalations);
-  EXPECT_EQ(a.control_plane.quorum.fallbacks, b.control_plane.quorum.fallbacks);
-  EXPECT_EQ(a.control_plane.quorum.overrides, b.control_plane.quorum.overrides);
-  EXPECT_EQ(a.control_plane.probation_pending_at_end, b.control_plane.probation_pending_at_end);
-  EXPECT_EQ(a.control_plane.chaos.witnesses_lied, b.control_plane.chaos.witnesses_lied);
-  EXPECT_EQ(a.control_plane.chaos.witnesses_crashed, b.control_plane.chaos.witnesses_crashed);
-  EXPECT_EQ(a.control_plane.chaos.probation_signals_suppressed,
-            b.control_plane.chaos.probation_signals_suppressed);
-  EXPECT_EQ(a.probation_work_declined, b.probation_work_declined);
-
-  EXPECT_EQ(a.screen_failures, b.screen_failures);
-  EXPECT_EQ(a.screening_ops, b.screening_ops);
-  EXPECT_EQ(a.mercurial_retired, b.mercurial_retired);
-
-  // Detection-latency histogram: every bucket, both tails, and the moment sums.
-  ASSERT_EQ(a.detection_latency_days.buckets().size(), b.detection_latency_days.buckets().size());
-  for (size_t i = 0; i < a.detection_latency_days.buckets().size(); ++i) {
-    EXPECT_EQ(a.detection_latency_days.buckets()[i], b.detection_latency_days.buckets()[i])
-        << "latency bucket " << i;
-  }
-  EXPECT_EQ(a.detection_latency_days.underflow(), b.detection_latency_days.underflow());
-  EXPECT_EQ(a.detection_latency_days.overflow(), b.detection_latency_days.overflow());
-  EXPECT_EQ(a.detection_latency_days.count(), b.detection_latency_days.count());
-  EXPECT_EQ(a.detection_latency_days.sum(), b.detection_latency_days.sum());
-  EXPECT_EQ(a.detection_latency_days.min(), b.detection_latency_days.min());
-  EXPECT_EQ(a.detection_latency_days.max(), b.detection_latency_days.max());
-
-  EXPECT_EQ(a.detected_per_thousand_machines, b.detected_per_thousand_machines);
-  EXPECT_EQ(a.planted_per_thousand_machines, b.planted_per_thousand_machines);
-
-  EXPECT_EQ(a.mca_recidivists, b.mca_recidivists);
-  EXPECT_EQ(a.mca_true_mercurial, b.mca_true_mercurial);
-  EXPECT_EQ(a.mca_unit_attribution_correct, b.mca_unit_attribution_correct);
-
-  // Blast-radius audit + repair accounting, field by field (all zero when auditing is off, so
-  // the same oracle serves audited and unaudited studies).
-  EXPECT_EQ(a.audit_enabled, b.audit_enabled);
-  EXPECT_EQ(a.artifacts_tagged, b.artifacts_tagged);
-  EXPECT_EQ(a.corruptions_tagged, b.corruptions_tagged);
-  EXPECT_EQ(a.repair.convictions, b.repair.convictions);
-  EXPECT_EQ(a.repair.suspect_epochs, b.repair.suspect_epochs);
-  EXPECT_EQ(a.repair.suspect_artifacts, b.repair.suspect_artifacts);
-  EXPECT_EQ(a.repair.artifacts_reverified, b.repair.artifacts_reverified);
-  EXPECT_EQ(a.repair.artifacts_reexecuted, b.repair.artifacts_reexecuted);
-  EXPECT_EQ(a.repair.repair_ops, b.repair.repair_ops);
-  EXPECT_EQ(a.repair.retries_scheduled, b.repair.retries_scheduled);
-  EXPECT_EQ(a.repair.defective_executor_retries, b.repair.defective_executor_retries);
-  EXPECT_EQ(a.repair.tasks_abandoned, b.repair.tasks_abandoned);
-  EXPECT_EQ(a.repair.epochs_shed, b.repair.epochs_shed);
-  EXPECT_EQ(a.repair.artifacts_shed, b.repair.artifacts_shed);
-  EXPECT_EQ(a.repair.backlog_peak, b.repair.backlog_peak);
-  EXPECT_EQ(a.repair.corruptions_found, b.repair.corruptions_found);
-  EXPECT_EQ(a.repair.corruptions_repaired, b.repair.corruptions_repaired);
-  EXPECT_EQ(a.repair.corruptions_shed, b.repair.corruptions_shed);
-  EXPECT_EQ(a.repair.corruptions_missed, b.repair.corruptions_missed);
-  EXPECT_EQ(a.repair.corruptions_abandoned, b.repair.corruptions_abandoned);
-  EXPECT_EQ(a.repair.corruptions_still_at_rest, b.repair.corruptions_still_at_rest);
-  EXPECT_EQ(a.repair.chaos.reverify_misses, b.repair.chaos.reverify_misses);
-  EXPECT_EQ(a.repair.chaos.defective_repairs, b.repair.chaos.defective_repairs);
-  EXPECT_EQ(a.repair.chaos.partial_repairs, b.repair.chaos.partial_repairs);
-
-  // Durability + crash-recovery accounting (all-defaults when durability is off; D11 strips
-  // it before comparing a crashed run against an uncrashed reference).
-  EXPECT_EQ(a.durability.enabled, b.durability.enabled);
-  EXPECT_EQ(a.durability.frames_written, b.durability.frames_written);
-  EXPECT_EQ(a.durability.bytes_written, b.durability.bytes_written);
-  EXPECT_EQ(a.durability.snapshots_written, b.durability.snapshots_written);
-  EXPECT_EQ(a.durability.tick_frames_written, b.durability.tick_frames_written);
-  EXPECT_EQ(a.durability.recoveries, b.durability.recoveries);
-  EXPECT_EQ(a.durability.exact_recoveries, b.durability.exact_recoveries);
-  EXPECT_EQ(a.durability.prefix_recoveries, b.durability.prefix_recoveries);
-  EXPECT_EQ(a.durability.frames_replayed, b.durability.frames_replayed);
-  EXPECT_EQ(a.durability.frames_truncated, b.durability.frames_truncated);
-  EXPECT_EQ(a.durability.torn_tail_truncations, b.durability.torn_tail_truncations);
-  EXPECT_EQ(a.durability.corrupt_frames_rejected, b.durability.corrupt_frames_rejected);
-  EXPECT_EQ(a.durability.controller_crashes, b.durability.controller_crashes);
-  EXPECT_EQ(a.durability.reconcile_released_unknown, b.durability.reconcile_released_unknown);
-  EXPECT_EQ(a.durability.reconcile_reinstated_unknown,
-            b.durability.reconcile_reinstated_unknown);
-  EXPECT_EQ(a.durability.reconcile_dropped_pending, b.durability.reconcile_dropped_pending);
-  EXPECT_EQ(a.durability.reconcile_dropped_probation, b.durability.reconcile_dropped_probation);
+  EXPECT_TRUE(a.quarantine == b.quarantine) << "quarantine diverged";
+  EXPECT_TRUE(a.control_plane == b.control_plane) << "control_plane diverged";
+  EXPECT_TRUE(a.scheduler == b.scheduler) << "scheduler diverged";
+  EXPECT_TRUE(a.repair == b.repair) << "repair diverged";
+  EXPECT_TRUE(a.trace == b.trace) << "trace diverged";
+  EXPECT_TRUE(a.durability == b.durability) << "durability diverged";
+  EXPECT_TRUE(a == b) << "report diverged";
 }
 
 // Sanity: the harness options actually exercise the machinery (otherwise equality over empty
@@ -531,7 +378,7 @@ TEST(DeterminismTest, QuorumProbationReportIsThreadCountInvariant) {
 // The widest harness in this file: fleet growth (install-time wheel reschedules), chaos
 // (guardrail throttles -> wheel rebucketing), quorum + probation (reinstatement churn in the
 // scanned set), recidivism retirement (index removals), optional audit, and tracing always on
-// (byte-for-byte trace equality is the strongest oracle available).
+// (the trace is part of the report, so every event is compared).
 StudyOptions SparseHarness(uint64_t seed, bool chaos, bool audit, bool sparse, int shards,
                            int threads) {
   StudyOptions options = FastPathHarness(seed, chaos, threads);
@@ -583,7 +430,6 @@ TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
                        " shards=" + std::to_string(shards));
           const StudyReport dense = RunStudy(
               SparseHarness(seed, chaos, audit, /*sparse=*/false, shards, /*threads=*/1));
-          const std::vector<uint8_t> golden = SerializeTrace(dense.trace);
           ASSERT_GT(dense.trace.events.size(), 0u) << "harness recorded no events";
           for (const int threads : {1, 2, 8}) {
             if (threads > shards) {
@@ -593,7 +439,6 @@ TEST(DeterminismTest, SparseEngineMatchesDenseOracle) {
             const StudyReport sparse = RunStudy(
                 SparseHarness(seed, chaos, audit, /*sparse=*/true, shards, threads));
             ExpectReportsEqual(dense, sparse);
-            EXPECT_EQ(golden, SerializeTrace(sparse.trace));
           }
         }
       }
@@ -615,6 +460,33 @@ TEST(DeterminismTest, SparseHarnessExercisesTheHardPaths) {
       << " activations=" << report.control_plane.guardrail_activations
       << " releases=" << report.control_plane.guardrail_releases
       << " cores=" << report.cores;
+}
+
+// Report equality is total: one changed field anywhere in a traced, audited, chaotic report —
+// including the fields the old hand-written comparison lists skipped — makes it unequal.
+TEST(DeterminismTest, ReportEqualityCoversEveryBlock) {
+  const StudyReport report = RunStudy(SparseHarness(/*seed=*/20210531, /*chaos=*/true,
+                                                    /*audit=*/true, /*sparse=*/true,
+                                                    /*shards=*/8, /*threads=*/2));
+  ASSERT_TRUE(report.audit_enabled);
+  ASSERT_FALSE(report.trace.events.empty());
+  EXPECT_TRUE(report == StudyReport(report));
+  using Perturbation = void (*)(StudyReport&);
+  const Perturbation perturbations[] = {
+      [](StudyReport& r) { ++r.quarantine.accusations; },
+      [](StudyReport& r) { ++r.control_plane.chaos.machine_restarts; },
+      [](StudyReport& r) { ++r.repair.reinstated_artifacts_cancelled; },
+      [](StudyReport& r) { ++r.repair.chaos.reports_dropped; },
+      [](StudyReport& r) { r.scheduler.screen_migration_cost_by_tier[2] += 1.0; },
+      [](StudyReport& r) { r.detection_latency_days.Add(1.0); },
+      [](StudyReport& r) { ++r.trace.events.back().detail; },
+      [](StudyReport& r) { r.durability.enabled = !r.durability.enabled; },
+  };
+  for (size_t i = 0; i < std::size(perturbations); ++i) {
+    StudyReport changed = report;
+    perturbations[i](changed);
+    EXPECT_FALSE(changed == report) << "perturbation " << i << " went unnoticed";
+  }
 }
 
 // --- D11: crash-recovery equivalence ---------------------------------------------------------
@@ -641,7 +513,6 @@ TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
                    " engine=" + (sparse ? "sparse" : "dense"));
       const StudyReport uncrashed = RunStudy(SparseHarness(
           /*seed=*/20210531, chaos, /*audit=*/true, sparse, /*shards=*/8, /*threads=*/1));
-      const std::vector<uint8_t> golden = SerializeTrace(uncrashed.trace);
       ASSERT_GT(uncrashed.trace.events.size(), 0u) << "harness recorded no events";
       for (const int crash_every : {1, 7, 64}) {
         for (const int threads : {1, 2, 8}) {
@@ -659,7 +530,6 @@ TEST(DeterminismTest, CrashedControllerRecoversBitIdentically) {
                         crashed.durability.reconcile_dropped_probation,
                     0u)
               << "exact recovery must never need fleet reconciliation";
-          EXPECT_EQ(golden, SerializeTrace(crashed.trace));
           // Strip the crash accounting; every simulation field must match the uncrashed run.
           crashed.durability = DurabilityStats{};
           ExpectReportsEqual(uncrashed, crashed);
@@ -687,7 +557,6 @@ TEST(DeterminismTest, DurabilityIsBitInvisibleWithoutCrashes) {
     EXPECT_FALSE(off.durability.enabled);
     EXPECT_GT(on.durability.frames_written, 0u);
     EXPECT_EQ(on.durability.recoveries, 0u);
-    EXPECT_EQ(SerializeTrace(on.trace), SerializeTrace(off.trace));
     // Strip the journal accounting; everything that remains must match exactly.
     on.durability = DurabilityStats{};
     ExpectReportsEqual(on, off);
@@ -720,13 +589,11 @@ TEST(DeterminismTest, AdaptiveScreeningReportIsThreadCountInvariant) {
       SCOPED_TRACE(std::string("chaos=") + (chaos ? "high" : "off") +
                    " engine=" + (sparse ? "sparse" : "dense"));
       const StudyReport one = RunStudy(AdaptiveHarness(chaos, sparse, /*threads=*/1));
-      const std::vector<uint8_t> golden = SerializeTrace(one.trace);
       ASSERT_GT(one.trace.events.size(), 0u) << "harness recorded no events";
       for (const int threads : {2, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         const StudyReport other = RunStudy(AdaptiveHarness(chaos, sparse, threads));
         ExpectReportsEqual(one, other);
-        EXPECT_EQ(golden, SerializeTrace(other.trace));
       }
     }
   }
@@ -770,7 +637,6 @@ TEST(DeterminismTest, AdaptiveOffIsBitInvisibleToLegacyReport) {
     const StudyReport on = RunStudy(knobbed);
     const StudyReport off = RunStudy(plain);
     ExpectReportsEqual(on, off);
-    EXPECT_EQ(SerializeTrace(on.trace), SerializeTrace(off.trace));
     for (int t = 0; t < kScreenRiskTierCount; ++t) {
       EXPECT_EQ(off.scheduler.screen_drains_by_tier[t], 0u)
           << "legacy runs must never account tiered drains";

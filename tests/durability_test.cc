@@ -348,7 +348,7 @@ TEST(DurabilityTest, PendingAtEndBooksSurviveControllerCrashes) {
   crashed.durability.enabled = true;
   crashed.control_plane.chaos.controller_crash_every_ticks = 1;  // die after every tick
   FleetStudy crashed_study(crashed);
-  const StudyReport report = crashed_study.Run();
+  StudyReport report = crashed_study.Run();
 
   ASSERT_GT(report.durability.controller_crashes, 0u);
   EXPECT_EQ(report.durability.recoveries, report.durability.controller_crashes);
@@ -359,11 +359,9 @@ TEST(DurabilityTest, PendingAtEndBooksSurviveControllerCrashes) {
                 reference.control_plane.probation_pending_at_end,
             0u)
       << "harness left no open books; the regression is vacuous";
-  EXPECT_EQ(report.control_plane.pending_at_end, reference.control_plane.pending_at_end);
-  EXPECT_EQ(report.control_plane.probation_pending_at_end,
-            reference.control_plane.probation_pending_at_end);
-  EXPECT_EQ(report.quarantine.probation_entries, reference.quarantine.probation_entries);
-  EXPECT_EQ(report.quarantine.reinstatements, reference.quarantine.reinstatements);
+  // Strip the crash accounting; the open books, and every other field, must match.
+  report.durability = DurabilityStats{};
+  EXPECT_TRUE(report == reference);
 }
 
 // Torn tails and bit flips force prefix recoveries; every loss and every reconciliation
