@@ -143,7 +143,7 @@ FleetStudy::FleetStudy(StudyOptions options)
     // what keeps an enabled trace bit-invisible to the legacy report.
     trace_ = std::make_unique<TraceRecorder>(options_.trace, fleet_.core_count(),
                                              std::max(1, options_.shards));
-    for (uint64_t core = 0; core < fleet_.core_count(); ++core) {
+    for (uint64_t core : fleet_.mercurial_cores()) {
       fleet_.core(core).set_trace_recorder(trace_.get());
     }
     service_.set_trace_recorder(trace_.get());

@@ -28,14 +28,13 @@ QuarantineManager::Interrogation QuarantineManager::Interrogate(uint64_t core_gl
     return result;  // ran == false: retirement on suspicion alone, no battery
   }
   result.ran = true;
-  SimCore& core = fleet.core(core_global);
-  if (core.healthy()) {
+  if (fleet.Healthy(core_global)) {
     // Healthy cores cannot confess (fast path; identical outcome to running the battery).
     stats_.interrogation_ops +=
         OpsPerAttempt() * static_cast<uint64_t>(policy_.confession.max_attempts);
     return result;
   }
-  const Confession confession = tester_.Interrogate(core, rng_);
+  const Confession confession = tester_.Interrogate(fleet.core(core_global), rng_);
   stats_.interrogation_ops += confession.ops_used;
   result.ops_used = confession.ops_used;
   if (confession.confessed) {

@@ -291,14 +291,29 @@ double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet
     risk += w.probation * (evidence.on_probation ? 1.0 : (rs.probation_seen ? 0.5 : 0.0));
   }
   risk += w.screen_failures * static_cast<double>(rs.screen_failures);
-  const SimCore& sim_core = fleet.core(core);
-  risk += w.age_years * (sim_core.age().days() / 365.0);
+  // A healthy core has no SimCore: it scores age 0 at the default operating point and its
+  // product's voltage there, since screening never moves it off that point.
+  // GROUND-TRUTH LEAK, kept so reports stay bit-identical: Fleet::SetAges ages only defective
+  // cores, so every healthy core scores age 0 while a defective one scores its machine's real
+  // age, and the allocator can single out defective cores by age alone.
+  SimTime age;
+  OperatingPoint point;
+  double voltage = 0.0;
+  if (fleet.Healthy(core)) {
+    voltage = fleet.machine(fleet.core_id(core).machine).product().dvfs.VoltageAt(
+        point.frequency_ghz);
+  } else {
+    const SimCore& sim_core = fleet.core(core);
+    age = sim_core.age();
+    point = sim_core.operating_point();
+    voltage = sim_core.voltage();
+  }
+  risk += w.age_years * (age.days() / 365.0);
   // Operating-point stress: hot silicon and thin voltage margin both raise the chance a
   // marginal defect fires in production before the next screen (§5: defects are f/V/T
   // sensitive). Normalized so the default point (60 C, 0.92 V) scores ~0.15.
-  const OperatingPoint point = sim_core.operating_point();
   const double temp_stress = std::clamp((point.temperature_c - 50.0) / 50.0, 0.0, 1.0);
-  const double volt_stress = std::clamp((0.95 - sim_core.voltage()) / 0.30, 0.0, 1.0);
+  const double volt_stress = std::clamp((0.95 - voltage) / 0.30, 0.0, 1.0);
   risk += w.stress * 0.5 * (temp_stress + volt_stress);
   // Coverage gap: corpus units that came online after this core's last offline screen have
   // never been run against it — its defects there are still zero-days (§4).
@@ -445,11 +460,8 @@ bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool off
                                       ShardScreenOutcome& outcome) {
   ScreeningTickStats& stats = outcome.stats;
   if (fleet.Healthy(core_index)) {
-    // Fast path: a defect-free core cannot fail (sound per DESIGN.md decision 1); charge the
-    // battery's cost without executing it. Fleet::Healthy is a write-through mirror the core
-    // itself maintains, so defects planted after Fleet::Build (tests, chaos hooks) are still
-    // seen — while the common healthy case costs one flat byte load instead of the
-    // cache-cold core -> defects_ pointer chain.
+    // Fast path: a defect-free core cannot fail (sound per DESIGN.md decision 1), and has no
+    // SimCore to run it on; charge the battery's cost without executing it.
     stats.ops_spent += iterations * CoveredUnitCount(now);
     return false;
   }

@@ -1,13 +1,11 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/common/logging.h"
 
 namespace mercurial {
-
-Machine::Machine(uint64_t id, const CpuProduct* product, SimTime install_time)
-    : id_(id), product_(product), install_time_(install_time) {}
 
 Fleet Fleet::Build(const FleetOptions& options) {
   return Build(options, StandardProducts());
@@ -26,7 +24,7 @@ Fleet Fleet::Build(const FleetOptions& options, const std::vector<CpuProduct>& p
 
   Rng rng(options.seed);
   Rng placement_rng = rng.Split(0x1001);
-  Rng defect_rng = rng.Split(0x1002);
+  fleet.defect_rng_ = rng.Split(0x1002);
 
   // Normalize product mix against however many products we have.
   std::vector<double> mix = options.product_mix;
@@ -37,6 +35,7 @@ Fleet Fleet::Build(const FleetOptions& options, const std::vector<CpuProduct>& p
   }
   MERCURIAL_CHECK_GT(mix_total, 0.0);
 
+  MERCURIAL_CHECK_LE(options.machine_count, uint64_t{UINT32_MAX}) << "machine index is 32-bit";
   uint64_t global_index = 0;
   for (size_t m = 0; m < options.machine_count; ++m) {
     // Pick a product by weight.
@@ -57,41 +56,55 @@ Fleet Fleet::Build(const FleetOptions& options, const std::vector<CpuProduct>& p
     const SimTime install =
         SimTime::Seconds(install_offset - options.install_spread.seconds());
 
-    auto machine = std::make_unique<Machine>(m, &fleet.products_[product_index], install);
+    fleet.machines_.emplace_back(m, &product, install, global_index,
+                                 static_cast<uint32_t>(product.cores_per_machine));
     const double core_rate = product.mercurial_core_rate * options.mercurial_rate_multiplier;
 
     for (int c = 0; c < product.cores_per_machine; ++c) {
-      auto core = std::make_unique<SimCore>(global_index, defect_rng.Split(global_index));
-      core->set_dvfs(product.dvfs);
+      fleet.core_machine_.push_back(static_cast<uint32_t>(m));
+      fleet.install_seconds_.push_back(install.seconds());
+      fleet.healthy_.push_back(1);
       if (placement_rng.Bernoulli(core_rate)) {
-        Rng core_defect_rng = defect_rng.Split(0x2000'0000ull ^ global_index);
+        Rng core_defect_rng = fleet.defect_rng_.Split(0x2000'0000ull ^ global_index);
         const uint64_t defect_count = 1 + core_defect_rng.Poisson(product.mean_extra_defects);
         for (uint64_t d = 0; d < defect_count; ++d) {
-          core->AddDefect(DrawRandomDefect(product.catalog, core_defect_rng));
+          fleet.PlantDefect(global_index, DrawRandomDefect(product.catalog, core_defect_rng));
         }
-        fleet.mercurial_cores_.push_back(global_index);
       }
-      fleet.core_index_.push_back(CoreId{global_index, m, static_cast<uint32_t>(c)});
-      fleet.install_seconds_.push_back(install.seconds());
-      machine->AddCore(std::move(core));
       ++global_index;
     }
-    fleet.machines_.push_back(std::move(machine));
-  }
-  // Bind the flat health mirror last so the buffer never reallocates under a bound slot
-  // (healthy_ is never resized again; moving the Fleet moves buffer ownership, not the
-  // buffer, so the slots survive the return-by-value).
-  fleet.healthy_.resize(global_index);
-  for (uint64_t i = 0; i < global_index; ++i) {
-    fleet.core(i).BindHealthSlot(&fleet.healthy_[i]);
   }
   return fleet;
 }
 
+size_t Fleet::DefectiveSlot(uint64_t global_index) const {
+  const auto it =
+      std::lower_bound(mercurial_cores_.begin(), mercurial_cores_.end(), global_index);
+  MERCURIAL_CHECK(it != mercurial_cores_.end() && *it == global_index)
+      << "core " << global_index << " is healthy and has no SimCore";
+  return static_cast<size_t>(it - mercurial_cores_.begin());
+}
+
+void Fleet::PlantDefect(uint64_t global_index, DefectSpec spec) {
+  MERCURIAL_CHECK_LT(global_index, core_count());
+  const auto it =
+      std::lower_bound(mercurial_cores_.begin(), mercurial_cores_.end(), global_index);
+  const auto slot = it - mercurial_cores_.begin();
+  if (it == mercurial_cores_.end() || *it != global_index) {
+    // Split is pure, so the core's stream does not depend on which cores came before it.
+    auto core = std::make_unique<SimCore>(global_index, defect_rng_.Split(global_index));
+    core->set_dvfs(machines_[core_machine_[global_index]].product().dvfs);
+    mercurial_cores_.insert(it, global_index);
+    defective_.insert(defective_.begin() + slot, std::move(core));
+    healthy_[global_index] = 0;
+  }
+  defective_[slot]->AddDefect(std::move(spec));
+}
+
 size_t Fleet::InstalledMachines(SimTime now) const {
   size_t count = 0;
-  for (const auto& machine : machines_) {
-    if (machine->install_time() <= now) {
+  for (const Machine& machine : machines_) {
+    if (machine.install_time() <= now) {
       ++count;
     }
   }
@@ -101,9 +114,9 @@ size_t Fleet::InstalledMachines(SimTime now) const {
 std::vector<uint64_t> Fleet::InstalledMachineIds(SimTime now) const {
   std::vector<uint64_t> ids;
   ids.reserve(machines_.size());
-  for (const auto& machine : machines_) {
-    if (machine->install_time() <= now) {
-      ids.push_back(machine->id());
+  for (const Machine& machine : machines_) {
+    if (machine.install_time() <= now) {
+      ids.push_back(machine.id());
     }
   }
   return ids;
@@ -112,16 +125,10 @@ std::vector<uint64_t> Fleet::InstalledMachineIds(SimTime now) const {
 void Fleet::SetAges(SimTime now) {
   // Only defective cores ever read their age (defect gates are the sole consumer), so updating
   // the mercurial subset keeps the per-tick cost independent of fleet size.
-  for (uint64_t index : mercurial_cores_) {
-    const Machine& m = *machines_[core_index_[index].machine];
-    const int64_t age_seconds = std::max<int64_t>(0, (now - m.install_time()).seconds());
-    core(index).set_age(SimTime::Seconds(age_seconds));
-  }
-}
-
-void Fleet::ForEachCore(const std::function<void(uint64_t, SimCore&)>& fn) {
-  for (uint64_t i = 0; i < core_index_.size(); ++i) {
-    fn(i, core(i));
+  for (size_t k = 0; k < mercurial_cores_.size(); ++k) {
+    const int64_t age_seconds =
+        std::max<int64_t>(0, now.seconds() - install_seconds_[mercurial_cores_[k]]);
+    defective_[k]->set_age(SimTime::Seconds(age_seconds));
   }
 }
 

@@ -71,9 +71,6 @@ void SimCore::AddDefect(DefectSpec spec) {
   MERCURIAL_CHECK_LT(unit_index, static_cast<size_t>(kExecUnitCount));
   defects_.emplace_back(std::move(spec));
   defects_by_unit_[unit_index].push_back(static_cast<uint16_t>(defects_.size() - 1));
-  if (health_slot_ != nullptr) {
-    *health_slot_ = 0;
-  }
   ++env_revision_;  // the armed lists must pick up the new defect
 }
 

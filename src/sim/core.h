@@ -62,18 +62,6 @@ class SimCore {
 
   // --- Defect management (fleet builder / tests) ------------------------------------------
   void AddDefect(DefectSpec spec);
-  bool healthy() const { return defects_.empty(); }
-  // Binds a write-through mirror of healthy(): AddDefect clears *slot. The Fleet builder
-  // points every core at a flat per-core byte so hot paths can ask "is this core healthy?"
-  // with one contiguous load instead of chasing core -> defects_ pointers — and because the
-  // core itself maintains the mirror, defects hand-planted after Fleet::Build (tests, chaos
-  // hooks) stay visible. The slot must outlive the core or be rebound.
-  void BindHealthSlot(uint8_t* slot) {
-    health_slot_ = slot;
-    if (health_slot_ != nullptr) {
-      *health_slot_ = defects_.empty() ? 1 : 0;
-    }
-  }
   const std::vector<Defect>& defects() const { return defects_; }
   // True if any defect is past onset at the current age.
   bool AnyDefectActive() const;
@@ -209,7 +197,6 @@ class SimCore {
   uint64_t id_;
   Rng rng_;
   std::vector<Defect> defects_;
-  uint8_t* health_slot_ = nullptr;  // write-through healthy() mirror, see BindHealthSlot
   // Indices into defects_ by unit, so healthy units skip the gate loop.
   std::array<std::vector<uint16_t>, kExecUnitCount> defects_by_unit_;
   OperatingPoint point_;

@@ -238,7 +238,7 @@ TEST(ScreeningTest, OfflineScreeningFindsCoveredDefect) {
   fleet_options.mercurial_rate_multiplier = 0.0;
   Fleet fleet = Fleet::Build(fleet_options);
   // Plant a deterministic copy defect by hand on core 5.
-  fleet.core(5).AddDefect(AlwaysFire(ExecUnit::kCopy, DefectEffect::kStuckSet, 0.5));
+  fleet.PlantDefect(5, AlwaysFire(ExecUnit::kCopy, DefectEffect::kStuckSet, 0.5));
 
   ScreeningOptions options;
   options.initial_coverage = {ExecUnit::kCopy};
@@ -257,8 +257,7 @@ TEST(ScreeningTest, OfflineScreeningFindsCoveredDefect) {
   ASSERT_FALSE(emitted.empty());
   EXPECT_EQ(emitted[0].core_global, 5u);
   EXPECT_EQ(static_cast<int>(emitted[0].type), static_cast<int>(SignalType::kScreenFail));
-  // NOTE: the defect fleet.IsMercurial does not know about hand-planted defects; that is fine
-  // for the screening path, which consults core.healthy() only.
+  EXPECT_TRUE(fleet.IsMercurial(5));
 }
 
 TEST(ScreeningTest, UncoveredDefectIsAZeroDay) {
@@ -266,7 +265,7 @@ TEST(ScreeningTest, UncoveredDefectIsAZeroDay) {
   fleet_options.machine_count = 2;
   fleet_options.mercurial_rate_multiplier = 0.0;
   Fleet fleet = Fleet::Build(fleet_options);
-  fleet.core(3).AddDefect(AlwaysFire(ExecUnit::kAes, DefectEffect::kRandomWrong, 1.0));
+  fleet.PlantDefect(3, AlwaysFire(ExecUnit::kAes, DefectEffect::kRandomWrong, 1.0));
 
   ScreeningOptions options;
   options.initial_coverage = {ExecUnit::kIntAlu, ExecUnit::kCopy};
@@ -583,7 +582,7 @@ TEST(ScreeningAdaptiveTest, EvidenceWinsThePriorityQueueUnderBudget) {
   Fleet fleet = Fleet::Build(fleet_options);
   // Core 7 carries a defect in a covered unit AND heavy report-service evidence; with budget
   // for a single screen, the allocator must pick it over 95 equally-due peers.
-  fleet.core(7).AddDefect(AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 1.0));
+  fleet.PlantDefect(7, AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 1.0));
   ScreeningOptions options = AdaptiveDueNowOptions();
   options.budget_ops_per_day = 4 * 64 * 6;  // one hot battery
   ScreeningOrchestrator orchestrator(options, fleet.core_count(), Rng(3));
@@ -632,7 +631,7 @@ struct QuarantineHarness {
 
 TEST(QuarantineTest, DefectiveSuspectIsRetired) {
   QuarantineHarness h;
-  h.fleet.core(9).AddDefect(AlwaysFire(ExecUnit::kVector, DefectEffect::kBitFlip, 0.3));
+  h.fleet.PlantDefect(9, AlwaysFire(ExecUnit::kVector, DefectEffect::kBitFlip, 0.3));
 
   QuarantinePolicy policy;
   policy.confession.stress.iterations_per_unit = 128;
@@ -669,7 +668,7 @@ TEST(QuarantineTest, RecidivismRetiresEvasiveCore) {
   DefectSpec spec = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 1.0);
   spec.trigger.mask = 0xffffff;
   spec.trigger.value = 0x123456;
-  h.fleet.core(2).AddDefect(spec);
+  h.fleet.PlantDefect(2, spec);
 
   QuarantinePolicy policy;
   policy.confession.stress.iterations_per_unit = 8;

@@ -1,6 +1,8 @@
 // Tests for src/fleet (population builder) and src/sched (core scheduler, isolation).
 
+#include <fstream>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -44,7 +46,10 @@ TEST(FleetTest, DifferentSeedsDifferentPopulations) {
 TEST(FleetTest, ZeroRateMeansNoMercurialCores) {
   Fleet fleet = Fleet::Build(SmallFleet(0.0));
   EXPECT_TRUE(fleet.mercurial_cores().empty());
-  fleet.ForEachCore([](uint64_t, SimCore& core) { EXPECT_TRUE(core.healthy()); });
+  for (uint64_t i = 0; i < fleet.core_count(); ++i) {
+    EXPECT_TRUE(fleet.Healthy(i)) << "core " << i;
+    EXPECT_FALSE(fleet.IsMercurial(i)) << "core " << i;
+  }
 }
 
 TEST(FleetTest, RateMultiplierScalesIncidence) {
@@ -61,13 +66,17 @@ TEST(FleetTest, MercurialGroundTruthMatchesDefects) {
   FleetOptions options = SmallFleet(500.0);
   Fleet fleet = Fleet::Build(options);
   ASSERT_FALSE(fleet.mercurial_cores().empty());
-  fleet.ForEachCore([&](uint64_t index, SimCore& core) {
-    EXPECT_EQ(fleet.IsMercurial(index), !core.healthy()) << "core " << index;
-  });
+  for (uint64_t i = 0; i < fleet.core_count(); ++i) {
+    EXPECT_EQ(fleet.IsMercurial(i), !fleet.Healthy(i)) << "core " << i;
+    if (fleet.IsMercurial(i)) {
+      EXPECT_FALSE(fleet.core(i).defects().empty()) << "core " << i;
+    }
+  }
 }
 
 TEST(FleetTest, CoreIdsAreConsistent) {
-  Fleet fleet = Fleet::Build(SmallFleet());
+  Fleet fleet = Fleet::Build(SmallFleet(500.0));
+  ASSERT_FALSE(fleet.mercurial_cores().empty());
   size_t expected_total = 0;
   for (size_t m = 0; m < fleet.machine_count(); ++m) {
     expected_total += fleet.machine(m).core_count();
@@ -76,9 +85,12 @@ TEST(FleetTest, CoreIdsAreConsistent) {
   for (uint64_t i = 0; i < fleet.core_count(); ++i) {
     const CoreId id = fleet.core_id(i);
     EXPECT_EQ(id.global_index, i);
-    EXPECT_EQ(fleet.core(i).id(), i);
     EXPECT_LT(id.machine, fleet.machine_count());
     EXPECT_LT(id.core, fleet.machine(id.machine).core_count());
+    EXPECT_EQ(fleet.machine(id.machine).first_core() + id.core, i);
+  }
+  for (uint64_t i : fleet.mercurial_cores()) {
+    EXPECT_EQ(fleet.core(i).id(), i);
   }
 }
 
@@ -118,14 +130,78 @@ TEST(FleetTest, SetAgesReflectsInstallTime) {
 }
 
 TEST(FleetTest, DvfsComesFromProduct) {
-  Fleet fleet = Fleet::Build(SmallFleet());
-  for (size_t m = 0; m < fleet.machine_count(); ++m) {
-    Machine& machine = fleet.machine(m);
-    const double v_min = machine.product().dvfs.v_min;
-    SimCore& core = machine.core(0);
+  Fleet fleet = Fleet::Build(SmallFleet(500.0));
+  ASSERT_FALSE(fleet.mercurial_cores().empty());
+  for (uint64_t index : fleet.mercurial_cores()) {
+    const double v_min = fleet.machine(fleet.core_id(index).machine).product().dvfs.v_min;
+    SimCore& core = fleet.core(index);
     core.set_operating_point(OperatingPoint{0.1, 60.0});  // below f_min => clamped to v_min
     EXPECT_DOUBLE_EQ(core.voltage(), v_min);
   }
+}
+
+TEST(FleetTest, HealthyCoreHasNoSimCore) {
+  Fleet fleet = Fleet::Build(SmallFleet(500.0));
+  ASSERT_FALSE(fleet.mercurial_cores().empty());
+  uint64_t healthy = 0;
+  while (fleet.IsMercurial(healthy)) {
+    ++healthy;
+  }
+  EXPECT_DEATH(fleet.core(healthy), "has no SimCore");
+}
+
+TEST(FleetTest, PlantDefectKeepsGroundTruthConsistent) {
+  Fleet fleet = Fleet::Build(SmallFleet(0.0));
+  ASSERT_TRUE(fleet.mercurial_cores().empty());
+  const uint64_t k = 77;
+  DefectSpec spec;
+  spec.unit = ExecUnit::kCopy;
+  fleet.PlantDefect(k, spec);
+  EXPECT_TRUE(fleet.IsMercurial(k));
+  EXPECT_FALSE(fleet.Healthy(k));
+  EXPECT_EQ(fleet.mercurial_cores(), std::vector<uint64_t>{k});
+  EXPECT_EQ(fleet.core(k).id(), k);
+  // The planted core gets its product's DVFS curve, like a core planted at Build.
+  const double v_min = fleet.machine(fleet.core_id(k).machine).product().dvfs.v_min;
+  fleet.core(k).set_operating_point(OperatingPoint{0.1, 60.0});
+  EXPECT_DOUBLE_EQ(fleet.core(k).voltage(), v_min);
+  // SetAges reaches it.
+  fleet.SetAges(SimTime::Days(3 * 365));
+  EXPECT_GT(fleet.core(k).age().seconds(), 0);
+
+  spec.unit = ExecUnit::kAes;
+  fleet.PlantDefect(k, spec);
+  EXPECT_EQ(fleet.mercurial_cores(), std::vector<uint64_t>{k});
+  EXPECT_EQ(fleet.core(k).defects().size(), 2u);
+}
+
+// Resident set of this process in bytes, or 0 when /proc is unavailable.
+uint64_t ResidentBytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;
+    }
+  }
+  return 0;
+}
+
+TEST(FleetTest, HealthyFleetCostsUnder100BytesPerCore) {
+  // The 926k-core fleet of the repo benchmark's healthy-fleet workload. Each test runs in a
+  // process of its own (gtest_discover_tests), so the RSS difference is this fleet's alone.
+  FleetOptions options;
+  options.machine_count = 20000;
+  options.mercurial_rate_multiplier = 1.0;
+  const uint64_t before = ResidentBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "/proc/self/status unavailable";
+  }
+  const Fleet fleet = Fleet::Build(options);
+  const uint64_t after = ResidentBytes();
+  const double per_core =
+      static_cast<double>(after > before ? after - before : 0) / fleet.core_count();
+  EXPECT_LT(per_core, 100.0) << fleet.core_count() << " cores";
 }
 
 TEST(FleetTest, StandardProductsDifferInRates) {
