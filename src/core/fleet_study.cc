@@ -522,7 +522,7 @@ void FleetStudy::RunTicks(SimClock& clock, int64_t ticks, int shards, int thread
 
     // Parallel phase: every shard reads frozen shared state (scheduler, fleet layout,
     // coverage schedule) and writes only shard-private state — its own cores, its slice of
-    // the offline-due table (plus its due-wheel), and its delta buffer. Randomness is
+    // the offline-due table (plus its due-wheel and cohorts), and its delta buffer. Randomness is
     // counter-based per (seed, shard, tick), so neither thread count nor completion order
     // can change a draw. Chunked dispatch: each participating thread claims one contiguous
     // run of shards (one cursor fetch per chunk, one barrier per tick), so the sparse

@@ -416,8 +416,8 @@ void QuarantineControlPlane::EnforceGuardrail(SimTime now, Fleet& fleet,
 
   // Throttle the inflow: push back offline screens (each one drains a core) that would come
   // due while we are over budget. This is the serial-phase hook that rebuckets the sparse
-  // engine's due-wheels: ThrottleOffline itself moves qualifying wheel entries to the
-  // deferral horizon (filtering on exact due times, so the count and the due table are
+  // engine's due-wheels: ThrottleOffline itself moves qualifying wheel entries and cohorts to
+  // the deferral horizon (filtering on exact due times, so the count and the due table are
   // bit-identical to the dense scan) — the control plane needs no wheel awareness beyond
   // calling it between parallel phases, which Tick's position in the tick loop guarantees.
   if (screening != nullptr) {

@@ -1,7 +1,10 @@
 // Bucketed calendar queue ("due-wheel") indexing which cores' offline screens come due at
 // which tick, so the sparse screening engine visits O(due cores) per tick instead of scanning
 // every core's due time (see DESIGN.md, "Decision: sparsity is free when streams are
-// counter-keyed").
+// counter-keyed"). Outside the adaptive allocator it holds only defective cores, cores not
+// yet screened and cores parked until install: a healthy core leaves it at its first screen
+// for a cohort of the orchestrator (ScreeningOrchestrator::EnableSparse), which is not a
+// wheel entry.
 //
 // The wheel is an index, not the truth: exact due times stay in the orchestrator's
 // next_offline_due_ table, and every wheel entry is the *tick* on which that due time first

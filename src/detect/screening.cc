@@ -10,6 +10,18 @@
 #include "src/telemetry/trace.h"
 
 namespace mercurial {
+namespace {
+
+// Appends `from` to `to`, stealing its buffer when `to` is empty.
+void AppendMembers(std::vector<uint32_t>& to, std::vector<uint32_t>&& from) {
+  if (to.empty()) {
+    to = std::move(from);
+  } else {
+    to.insert(to.end(), from.begin(), from.end());
+  }
+}
+
+}  // namespace
 
 Status ValidateScreeningOptions(const ScreeningOptions& options) {
   if (!(options.online_fraction_per_day >= 0.0 && options.online_fraction_per_day <= 1.0)) {
@@ -137,6 +149,14 @@ uint64_t ScreeningOrchestrator::ThrottleOffline(SimTime now, SimTime defer) {
           sw.wheel.Schedule(core, fire);  // outside the exact window: restore untouched
         }
       }
+      // Cohort members share one exact due, so the window test holds for all of them or for
+      // none: a deferred cohort moves whole, merging into any cohort already due at
+      // pushed_to (which lies past the window, so the scan never revisits it).
+      for (auto it = sw.cohorts.upper_bound(now);
+           it != sw.cohorts.end() && it->first < pushed_to; it = sw.cohorts.erase(it)) {
+        deferred += it->second.size();
+        AppendMembers(sw.cohorts[pushed_to], std::move(it->second));
+      }
     }
     return deferred;
   }
@@ -175,25 +195,25 @@ ScreeningOrchestrator::ShardWheel& ScreeningOrchestrator::WheelForRange(uint64_t
   return *it;
 }
 
-bool ScreeningOrchestrator::RescheduleDrained(SimTime now, int64_t tick, uint64_t core,
-                                              Fleet& fleet, ShardWheel& sw) {
-  // Fire ticks satisfy fire * dt >= due, so a drained core is due now — the dense scan's
-  // `due > now` skip can never apply to a wheel drain.
-  MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
-  const auto c = static_cast<uint32_t>(core);
-  if (!fleet.Installed(core, now)) {
-    // Dense marks the core due-now each tick until its machine racks; the exact due value it
-    // converges to at the install tick is `some earlier now`, which fires and throttles
-    // identically to ours (both are <= now at every comparison). Jump straight to the
-    // install tick instead of re-draining every tick.
-    next_offline_due_[core] = now;
-    const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
-    sw.wheel.Schedule(c, std::max(tick + 1, FireTick(install)));
-    return false;
+template <typename Visit>
+void ScreeningOrchestrator::DrainInstalled(SimTime now, int64_t tick, const Fleet& fleet,
+                                           ShardWheel& sw, Visit&& visit) {
+  for (const uint32_t core : sw.wheel.Drain(tick)) {
+    // Fire ticks satisfy fire * dt >= due, so a drained core is due now — the dense scan's
+    // `due > now` skip can never apply to a wheel drain.
+    MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
+    if (!fleet.Installed(core, now)) {
+      // Dense marks the core due-now each tick until its machine racks; the exact due value
+      // it converges to at the install tick is `some earlier now`, which fires and throttles
+      // identically to ours (both are <= now at every comparison). Jump straight to the
+      // install tick instead of re-draining every tick.
+      next_offline_due_[core] = now;
+      const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
+      sw.wheel.Schedule(core, std::max(tick + 1, FireTick(install)));
+      continue;
+    }
+    visit(core);
   }
-  next_offline_due_[core] = now + options_.offline_period;
-  sw.wheel.Schedule(c, std::max(tick + 1, FireTick(next_offline_due_[core])));
-  return true;
 }
 
 void ScreeningOrchestrator::EnableSparse(
@@ -216,7 +236,7 @@ void ScreeningOrchestrator::EnableSparse(
   const int64_t span_ticks = (horizon_seconds + dt.seconds() - 1) / dt.seconds() + 2;
   wheels_.reserve(shard_ranges.size());
   for (const auto& [begin, end] : shard_ranges) {
-    ShardWheel& sw = wheels_.emplace_back(ShardWheel{begin, end, DueWheel(span_ticks)});
+    ShardWheel& sw = wheels_.emplace_back(ShardWheel{begin, end, DueWheel(span_ticks), {}, {}});
     for (uint64_t core = begin; core < end; ++core) {
       // Construction staggered dues over [0, period); the first tick that fires each is
       // ceil(due / dt), clamped to tick 1 (the wheel starts at position 0).
@@ -232,6 +252,18 @@ DueWheelStats ScreeningOrchestrator::wheel_stats() const {
     total.Merge(sw.wheel.stats());
   }
   return total;
+}
+
+std::vector<SimTime> ScreeningOrchestrator::OfflineDueTable() const {
+  std::vector<SimTime> due = next_offline_due_;
+  for (const ShardWheel& sw : wheels_) {
+    for (const auto& [cohort_due, members] : sw.cohorts) {
+      for (const uint32_t core : members) {
+        due[core] = cohort_due;
+      }
+    }
+  }
+  return due;
 }
 
 SimTime ScreeningOrchestrator::PeriodForRisk(double risk) const {
@@ -350,16 +382,8 @@ void ScreeningOrchestrator::PlanAdaptiveTick(SimTime now, SimTime dt, Fleet& fle
   if (sparse_enabled()) {
     const int64_t tick = TickIndex(now);
     for (ShardWheel& sw : wheels_) {
-      for (const uint32_t core : sw.wheel.Drain(tick)) {
-        MERCURIAL_CHECK_LE(next_offline_due_[core].seconds(), now.seconds());
-        if (!fleet.Installed(core, now)) {
-          next_offline_due_[core] = now;
-          const SimTime install = fleet.machine(fleet.core_id(core).machine).install_time();
-          sw.wheel.Schedule(core, std::max(tick + 1, FireTick(install)));
-          continue;
-        }
-        plan_candidates_.push_back(core);
-      }
+      DrainInstalled(now, tick, fleet, sw,
+                     [this](uint32_t core) { plan_candidates_.push_back(core); });
     }
   } else {
     for (uint64_t core = 0; core < next_offline_due_.size(); ++core) {
@@ -495,6 +519,7 @@ void ShardScreenOutcome::ApplyDrains(CoreScheduler& scheduler) const {
     }
     scheduler.Release(offline_drained[i]);
   }
+  scheduler.ChargeScreenDrains(healthy_drained);
 }
 
 ScreeningTickStats ScreeningOrchestrator::Tick(SimTime now, SimTime dt, Fleet& fleet,
@@ -537,21 +562,50 @@ ShardScreenOutcome ScreeningOrchestrator::TickShard(SimTime now, SimTime dt,
     }
   } else if (options_.offline_enabled && sparse_enabled() && core_end > core_begin) {
     // Sparse path: drain this shard's wheel bucket (ascending — the dense visit order)
-    // instead of scanning the whole range. Safe concurrently with other shards: the wheel,
-    // the due-table slice, and the drained cores all belong to this shard.
+    // instead of scanning the whole range, and count healthy screens by cohort. Safe
+    // concurrently with other shards: the wheel, the cohorts, the due-table slice, and the
+    // drained cores all belong to this shard.
     const int64_t tick = TickIndex(now);
     ShardWheel& sw = WheelForRange(core_begin, core_end);
-    for (const uint32_t core : sw.wheel.Drain(tick)) {
-      if (!RescheduleDrained(now, tick, core, fleet, sw)) {
-        continue;  // not racked yet; parked until its install tick
+    if (!sw.defective_count) {
+      sw.defective_count = fleet.mercurial_cores().size();
+    }
+    MERCURIAL_CHECK_EQ(fleet.mercurial_cores().size(), *sw.defective_count)
+        << "a defect was planted after the sparse engine's first tick; cohort members must "
+           "stay healthy";
+    const SimTime next_due = now + options_.offline_period;
+    // Every healthy core due now rides on to next_due: the members of each cohort due by now,
+    // and the cores screened for the first time, which leave the per-core wheel for good.
+    // Unschedulable members ride along unscreened, as the dense scan advances their dues.
+    std::vector<uint32_t> riders;
+    for (auto it = sw.cohorts.begin(); it != sw.cohorts.end() && it->first <= now;
+         it = sw.cohorts.erase(it)) {
+      AppendMembers(riders, std::move(it->second));
+    }
+    DrainInstalled(now, tick, fleet, sw, [&](uint32_t core) {
+      if (fleet.Healthy(core)) {
+        riders.push_back(core);
+        return;
       }
+      next_offline_due_[core] = next_due;
+      sw.wheel.Schedule(core, std::max(tick + 1, FireTick(next_due)));
       if (!scheduler.Schedulable(core)) {
-        continue;  // quarantined/retired cores are handled by the confession path
+        return;  // quarantined/retired cores are handled by the confession path
       }
       // Drain/release deferral: same contract as the dense loop below.
       outcome.offline_drained.push_back(core);
       ++outcome.stats.offline_screens;
       ScreenOne(now, core, /*offline=*/true, options_.offline_iterations, fleet, rng, outcome);
+    });
+    // A healthy screen draws nothing, emits nothing and cannot fail, so counting the
+    // schedulable riders charges exactly what screening them one by one would.
+    for (const uint32_t core : riders) {
+      outcome.healthy_drained += scheduler.Schedulable(core) ? 1 : 0;
+    }
+    outcome.stats.offline_screens += outcome.healthy_drained;
+    outcome.stats.ops_spent += outcome.healthy_drained * OfflineBatteryOps(now);
+    if (!riders.empty()) {
+      AppendMembers(sw.cohorts[next_due], std::move(riders));
     }
   } else if (options_.offline_enabled) {
     for (uint64_t core = core_begin; core < core_end; ++core) {

@@ -15,6 +15,8 @@
 #define MERCURIAL_SRC_DETECT_SCREENING_H_
 
 #include <functional>
+#include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -135,9 +137,15 @@ struct ShardScreenOutcome {
   std::vector<Signal> failures;          // kScreenFail signals, in emission order
   std::vector<uint64_t> offline_drained; // cores offline-screened; owe Drain+Release costs
   std::vector<uint8_t> drained_tiers;    // risk tier per offline_drained entry; empty legacy
+  // Healthy cores the sparse engine offline-screened by count (cohort members and first
+  // screens); each owes a Drain+Release pair like an offline_drained entry. Always 0 on the
+  // dense and adaptive paths.
+  uint64_t healthy_drained = 0;
 
-  // Charges the scheduler for every offline screen, in screening order: drain (plus the risk
-  // tier when adaptive), then release back to service.
+  // Charges the scheduler for every offline screen: each offline_drained entry in screening
+  // order — drain (plus the risk tier when adaptive), then release back to service — and then
+  // the healthy_drained pairs in bulk. Every drained core was schedulable in the frozen
+  // scheduler, so each pair is an active core's drain and release, whatever the order.
   void ApplyDrains(CoreScheduler& scheduler) const;
 };
 
@@ -163,13 +171,16 @@ class ScreeningOrchestrator {
   // counter-derived stream, so results cannot depend on shard execution order). Cores that
   // are not schedulable are skipped (quarantined cores are tested by the confession path
   // instead). The fleet's healthy cores are fast-pathed: a defect-free core cannot fail a
-  // battery (DESIGN.md decision 1), so only its cost is accounted. Side effects are buffered
-  // in the returned outcome instead of applied: the caller replays them in shard-index order.
+  // battery (DESIGN.md decision 1), so only its cost is accounted — under the sparse engine,
+  // by counting the schedulable members of each due cohort (see EnableSparse) instead of
+  // visiting them one by one. Side effects are buffered in the returned outcome instead of
+  // applied: the caller replays them in shard-index order.
   // Safe to call concurrently for disjoint core ranges: it reads shared state (fleet core
   // lookup, frozen scheduler states, coverage schedule) and mutates only this orchestrator's
-  // per-core due times within the range and the cores themselves (shard-owned). Online
-  // sampling is per-range, so the fleet-wide expected sampling rate is preserved for any
-  // shard count.
+  // per-core due times and cohorts within the range and the cores themselves (shard-owned).
+  // Online sampling is per-range, so the fleet-wide expected sampling rate is preserved for
+  // any shard count. Under the sparse engine it CHECKs that no defect was planted since the
+  // range's first tick.
   ShardScreenOutcome TickShard(SimTime now, SimTime dt, uint64_t core_begin, uint64_t core_end,
                                Fleet& fleet, const CoreScheduler& scheduler, Rng& rng);
 
@@ -192,19 +203,35 @@ class ScreeningOrchestrator {
   // engine's core partition, [begin, end) pairs in shard order) so each tick visits only the
   // cores whose screen is due instead of scanning the whole range. Must be called at most
   // once, before the first Tick/TickShard, with the tick length the engine will use; every
-  // subsequent tick must advance by exactly `dt` (the wheel drains tick by tick).
+  // subsequent tick must advance by exactly `dt` (the wheel drains tick by tick). The
+  // fleet's health is fixed from the first tick on: TickShard CHECKs that no defect was
+  // planted since, because a cohort member must stay healthy.
   //
   // Bit-identity with the dense scan: the wheel is only an index — next_offline_due_ remains
-  // the exact source of truth, buckets drain in ascending core order (the dense visit
-  // order), and cores skipped by the dense scan (due in the future) consume no randomness,
-  // so eliding their visits cannot shift any stream. DeferOffline throttles, install-time
-  // first screens, and the post-screen cadence all become wheel reschedules. See DESIGN.md,
-  // "Decision: sparsity is free when streams are counter-keyed".
+  // the exact source of truth for the cores on it, buckets drain in ascending core order (the
+  // dense visit order), and cores skipped by the dense scan (due in the future) consume no
+  // randomness, so eliding their visits cannot shift any stream. DeferOffline throttles,
+  // install-time first screens, and the post-screen cadence all become wheel reschedules.
+  //
+  // Outside the adaptive allocator, a healthy core leaves the wheel after its first installed
+  // screen and joins its shard's cohort for the next due: the healthy cores whose exact next
+  // offline due is the same SimTime, held as one entry keyed by that due. The cohort's due is
+  // then the truth for its members. A cohort fires whole, its schedulable members are
+  // screened by count, and it rides on to now + offline_period, merging with any cohort
+  // already due then. Counting is exact because a healthy screen draws no randomness, emits
+  // nothing, cannot fail and charges the same ops. See DESIGN.md, "Decision: sparsity is free
+  // when streams are counter-keyed".
   void EnableSparse(SimTime dt, const std::vector<std::pair<uint64_t, uint64_t>>& shard_ranges);
   bool sparse_enabled() const { return !wheels_.empty(); }
 
-  // Aggregate wheel occupancy/traffic over all shards; zeros when sparse is off.
+  // Aggregate per-core wheel occupancy/traffic over all shards; zeros when sparse is off.
+  // Cohorts are not wheel entries: these count defective cores, first screens and parked
+  // installs.
   DueWheelStats wheel_stats() const;
+
+  // Every core's exact next offline due: the due table, with each cohort's due written over
+  // its members. O(cores); for tests and diagnostics, not for the tick path.
+  std::vector<SimTime> OfflineDueTable() const;
 
   // --- Risk-adaptive allocation ---
 
@@ -233,12 +260,21 @@ class ScreeningOrchestrator {
   uint64_t IterationsForTier(int tier) const;
 
  private:
-  // One shard's slice of the due table plus its calendar queue. Drained only by the owning
-  // shard during the parallel phase; rebucketed (throttle) only in the serial phase.
+  // Healthy cores past their first screen, grouped by their shared exact next offline due.
+  // Members are global core indices; each healthy core sits in at most one cohort and is
+  // then off the per-core wheel.
+  using CohortMap = std::map<SimTime, std::vector<uint32_t>>;
+
+  // One shard's slice of the due table plus its calendar queue and its cohorts. Drained only
+  // by the owning shard during the parallel phase; rebucketed (throttle) only in the serial
+  // phase.
   struct ShardWheel {
     uint64_t begin = 0;
     uint64_t end = 0;
     DueWheel wheel;
+    CohortMap cohorts;
+    // fleet.mercurial_cores().size() at the shard's first tick, when cohorts start forming.
+    std::optional<size_t> defective_count;
   };
 
   // One admitted screen: which core, how deep, and under which tier it was admitted.
@@ -272,11 +308,13 @@ class ScreeningOrchestrator {
   int64_t TickIndex(SimTime now) const;
   // The wheel owning [core_begin, core_end); dies if sparse is on but the range is unknown.
   ShardWheel& WheelForRange(uint64_t core_begin, uint64_t core_end);
-  // Reschedules `core` after a drain visit at tick `tick` (time `now`): uninstalled cores
-  // park until their machine's install tick, screened cores ride the cadence. Returns true
-  // if the core should actually be screened this tick (mirrors the dense loop's decision).
-  bool RescheduleDrained(SimTime now, int64_t tick, uint64_t core, Fleet& fleet,
-                         ShardWheel& sw);
+  // The one drain-and-park path of both sparse engines (the fixed cadence and the adaptive
+  // planner): drains `sw` at `tick` (time `now`) and passes each due core whose machine is
+  // racked to `visit`, ascending — the dense visit order. A core not racked yet parks until
+  // its install tick with its due pinned to now, as the dense scan leaves it.
+  template <typename Visit>
+  void DrainInstalled(SimTime now, int64_t tick, const Fleet& fleet, ShardWheel& sw,
+                      Visit&& visit);
 
   ScreeningOptions options_;
   Rng rng_;

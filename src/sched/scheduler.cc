@@ -74,6 +74,14 @@ bool CoreScheduler::Drain(uint64_t core) {
   return true;
 }
 
+void CoreScheduler::ChargeScreenDrains(uint64_t count) {
+  stats_.drains += count;
+  stats_.releases += count;
+  for (uint64_t i = 0; i < count; ++i) {
+    stats_.migration_cost_core_seconds += costs_.migrate_task_core_seconds * costs_.tasks_per_core;
+  }
+}
+
 void CoreScheduler::NoteScreenDrainTier(int tier) {
   MERCURIAL_CHECK(tier >= 0 && tier < kScreenRiskTierCount) << "bad risk tier " << tier;
   ++stats_.screen_drains_by_tier[tier];

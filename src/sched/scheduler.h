@@ -91,6 +91,13 @@ class CoreScheduler {
   // the core is not active.
   bool Drain(uint64_t core);
 
+  // Charges `count` offline-screen drains of active cores, each released straight back to
+  // service: bit-identical to `count` Drain+Release pairs, which leave every state where it
+  // was. Adds the per-drain migration cost once per drain, as Drain does, because a single
+  // `count * cost` product rounds differently from the repeated sum. The sparse screening
+  // engine charges its cohorts' healthy screens with it (detect/screening.h).
+  void ChargeScreenDrains(uint64_t count);
+
   // Attributes the screen drain just charged via Drain() to an adaptive risk tier (the cost
   // itself was already counted by Drain; this only updates the per-tier view). Call once per
   // successful adaptive offline-screen drain, from a serial phase.
@@ -119,8 +126,10 @@ class CoreScheduler {
   // must not reenter the scheduler, and installing one changes no scheduler behavior. The
   // sparse tick engine uses it to drop retired cores from the production scan set
   // (retirement is the one irreversible transition, which is also why the hook is
-  // retirement-only: every other transition is re-gated per visit, and the screening path
-  // flips drain/release state per screened core — far too hot for an observer callback).
+  // retirement-only: every other transition is re-gated per visit, and the per-core state
+  // flips — a defective core's screen drain and release, the dense engine's per-core screen
+  // drains, and quarantine's drain — are too frequent for an observer callback; healthy
+  // screens under the sparse engine flip no state at all, see ChargeScreenDrains).
   // State changes only happen in the engines' serial phases, so the listener inherits that
   // guarantee.
   using RetirementListener = std::function<void(uint64_t core)>;

@@ -472,6 +472,91 @@ TEST(ScreeningTest, ThrottleOfflineDefersScreensDueSoon) {
       << "zero defer is a no-op";
 }
 
+TEST(ScreeningTest, SparseWheelDrainsOnlyDefectiveCoresAfterFirstScreens) {
+  // After one offline period every healthy core has had its first screen and rides a cohort,
+  // so over the next period the per-core wheel drains exactly the defective cores' screens,
+  // while the sparse twin's totals stay equal to the dense scan's tick by tick.
+  FleetOptions fleet_options;
+  fleet_options.machine_count = 6;
+  fleet_options.mercurial_rate_multiplier = 0.0;
+  Fleet fleet_dense = Fleet::Build(fleet_options);
+  Fleet fleet_sparse = Fleet::Build(fleet_options);
+  for (const uint64_t core : {3u, 40u, 41u, 97u}) {
+    const DefectSpec spec = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 0.01);
+    fleet_dense.PlantDefect(core, spec);
+    fleet_sparse.PlantDefect(core, spec);
+  }
+  const size_t cores = fleet_dense.core_count();
+
+  ScreeningOptions options;
+  options.offline_period = SimTime::Days(5);
+  options.offline_iterations = 64;
+  options.online_enabled = false;
+  ScreeningOrchestrator dense(options, cores, Rng(5));
+  ScreeningOrchestrator sparse(options, cores, Rng(5));
+  CoreScheduler sched_dense(cores, SchedulerCosts{});
+  CoreScheduler sched_sparse(cores, SchedulerCosts{});
+  const SimTime dt = SimTime::Days(1);
+  sparse.EnableSparse(dt, {{0, cores}});
+
+  uint64_t failures = 0;
+  uint64_t cohort_screens = 0;
+  const auto run_period = [&](int64_t first_tick) {
+    uint64_t defective_screens = 0;
+    for (int64_t t = first_tick; t < first_tick + 5; ++t) {
+      const SimTime now = SimTime::Seconds(t * dt.seconds());
+      fleet_dense.SetAges(now);
+      fleet_sparse.SetAges(now);
+      Rng rng_dense(DeriveStreamSeed(31, 0, static_cast<uint64_t>(t)));
+      Rng rng_sparse(DeriveStreamSeed(31, 0, static_cast<uint64_t>(t)));
+      const ShardScreenOutcome out_dense =
+          dense.TickShard(now, dt, 0, cores, fleet_dense, sched_dense, rng_dense);
+      const ShardScreenOutcome out_sparse =
+          sparse.TickShard(now, dt, 0, cores, fleet_sparse, sched_sparse, rng_sparse);
+      EXPECT_EQ(out_dense.stats.offline_screens, out_sparse.stats.offline_screens) << t;
+      EXPECT_EQ(out_dense.stats.ops_spent, out_sparse.stats.ops_spent) << t;
+      EXPECT_EQ(out_dense.stats.screen_failures, out_sparse.stats.screen_failures) << t;
+      out_dense.ApplyDrains(sched_dense);
+      out_sparse.ApplyDrains(sched_sparse);
+      defective_screens += out_sparse.offline_drained.size();
+      failures += out_sparse.stats.screen_failures;
+      cohort_screens += out_sparse.healthy_drained;
+    }
+    return defective_screens;
+  };
+
+  run_period(1);  // every core's first screen: the healthy ones leave the per-core wheel
+  const uint64_t drained_after_first_period = sparse.wheel_stats().drained;
+  EXPECT_EQ(drained_after_first_period, cores) << "one per-core drain per first screen";
+  const uint64_t defective_screens = run_period(6);
+  EXPECT_EQ(defective_screens, 4u) << "each defective core screens once per period";
+  EXPECT_EQ(sparse.wheel_stats().drained - drained_after_first_period, defective_screens);
+  EXPECT_EQ(cohort_screens, 2 * (cores - 4)) << "every healthy core screened once per period";
+  EXPECT_GT(failures, 0u) << "no defective screen failed; the failure path is untested";
+  EXPECT_TRUE(sched_dense.stats() == sched_sparse.stats());
+}
+
+TEST(ScreeningTest, SparseEngineDiesOnDefectPlantedAfterItsFirstTick) {
+  // A healthy core leaves the per-core wheel for a cohort at its first screen, and cohorts
+  // are counted, never run: a defect planted after cohorts began to form would go unscreened.
+  FleetOptions fleet_options;
+  fleet_options.machine_count = 2;
+  fleet_options.mercurial_rate_multiplier = 0.0;
+  Fleet fleet = Fleet::Build(fleet_options);
+  const size_t cores = fleet.core_count();
+  ScreeningOptions options;
+  options.offline_period = SimTime::Days(2);
+  options.online_enabled = false;
+  ScreeningOrchestrator orchestrator(options, cores, Rng(6));
+  CoreScheduler scheduler(cores, SchedulerCosts{});
+  orchestrator.EnableSparse(SimTime::Days(1), {{0, cores}});
+  const auto discard = [](const Signal&) {};
+  orchestrator.Tick(SimTime::Days(1), SimTime::Days(1), fleet, scheduler, discard);
+  fleet.PlantDefect(1, AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 1.0));
+  EXPECT_DEATH(orchestrator.Tick(SimTime::Days(2), SimTime::Days(1), fleet, scheduler, discard),
+               "cohort members must stay healthy");
+}
+
 TEST(ScreeningTest, OnlineSamplingRatePreservedAtSubDayTicks) {
   // online_fraction_per_day -> per-tick conversion: the Poisson mean is cores * fraction *
   // dt.days(), which is exact at ANY tick length (expectation is additive across ticks), so a

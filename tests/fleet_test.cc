@@ -289,6 +289,46 @@ TEST(SchedulerTest, DrainCostsMigration) {
   EXPECT_DOUBLE_EQ(scheduler.stats().migration_cost_core_seconds, 60.0);
 }
 
+TEST(SchedulerTest, BulkScreenDrainChargeEqualsPerCorePairs) {
+  // 0.1 * 3 is inexact in binary, so a `count * cost` product rounds differently from the
+  // repeated sum `count` Drain calls make: the bulk charge must make that same sum, whatever
+  // per-core and quarantine drains it is interleaved with.
+  SchedulerCosts costs;
+  costs.migrate_task_core_seconds = 0.1;
+  costs.tasks_per_core = 3.0;
+  CoreScheduler per_core(64, costs);
+  CoreScheduler bulk(64, costs);
+  const auto screen_pairs = [](CoreScheduler& scheduler, uint64_t count) {
+    for (uint64_t core = 10; core < 10 + count; ++core) {
+      ASSERT_TRUE(scheduler.Drain(core));
+      scheduler.Release(core);
+    }
+  };
+  for (CoreScheduler* scheduler : {&per_core, &bulk}) {
+    ASSERT_TRUE(scheduler->Drain(0));
+    scheduler->Release(0);
+    scheduler->Quarantine(5);
+  }
+  screen_pairs(per_core, 37);
+  bulk.ChargeScreenDrains(37);
+  for (CoreScheduler* scheduler : {&per_core, &bulk}) {
+    ASSERT_TRUE(scheduler->Drain(1));
+    scheduler->Release(1);
+  }
+  screen_pairs(per_core, 50);
+  bulk.ChargeScreenDrains(50);
+  bulk.ChargeScreenDrains(0);
+
+  EXPECT_EQ(per_core.stats().drains, 90u);
+  EXPECT_EQ(per_core.stats().releases, 89u);
+  EXPECT_EQ(per_core.stats().migration_cost_core_seconds,
+            bulk.stats().migration_cost_core_seconds);
+  EXPECT_TRUE(per_core.stats() == bulk.stats());
+  EXPECT_EQ(bulk.active_count(), 63u);
+  EXPECT_EQ(bulk.draining_count(), 0u);
+  EXPECT_EQ(bulk.quarantined_count(), 1u);
+}
+
 TEST(SchedulerTest, NextActiveCoreRoundRobinSkipsUnschedulable) {
   CoreScheduler scheduler(4, SchedulerCosts{});
   scheduler.Quarantine(1);

@@ -745,12 +745,16 @@ TEST(PropertyTest, AbftCorrectionNeverWorsensHealthyResult) {
   }
 }
 
-// P15: wheel completeness. A sparse orchestrator and a dense twin — identical construction
-// stream (same due stagger), identical per-(shard, tick) draw streams, twin fleets from the
-// same options, and identical scheduler churn — must screen exactly the same cores at exactly
-// the same ticks, in the same order, with the same outcomes. The drive interleaves the three
-// reschedule sources the wheel must honor: the post-screen cadence, install-time parking
-// (future installs), and guardrail ThrottleOffline deferrals.
+// P15: wheel and cohort completeness. A sparse orchestrator and a dense twin — identical
+// construction stream (same due stagger), identical per-(shard, tick) draw streams, twin
+// fleets from the same options, and identical scheduler churn — must screen exactly the same
+// cores at exactly the same ticks with the same outcomes. Defective cores stay on the
+// per-core wheel, so the dense drain list's defective entries must equal the sparse list, in
+// order; healthy cores past their first screen ride cohorts and are screened by count, so the
+// dense list's healthy entries must number the sparse healthy_drained, and every core's exact
+// next due (cohort members included) must match the dense table after each tick. The drive
+// interleaves the three reschedule sources the wheel must honor: the post-screen cadence,
+// install-time parking (future installs), and guardrail ThrottleOffline deferrals.
 TEST(PropertyTest, SparseWheelScreensExactlyTheDenseTicks) {
   FleetOptions fleet_options;
   fleet_options.machine_count = 12;
@@ -761,14 +765,26 @@ TEST(PropertyTest, SparseWheelScreensExactlyTheDenseTicks) {
   Fleet fleet_dense = Fleet::Build(fleet_options);
   Fleet fleet_sparse = Fleet::Build(fleet_options);
   const size_t cores = fleet_dense.core_count();
+  // Plant defects on both twins so every shard's per-core wheel interleaves several
+  // defective cores with the healthy cores leaving it for their cohorts.
+  for (uint64_t core = 11; core < cores; core += 37) {
+    const DefectSpec spec = LoudDefect(static_cast<DefectClass>(core % kDefectClassCount), core);
+    fleet_dense.PlantDefect(core, spec);
+    fleet_sparse.PlantDefect(core, spec);
+  }
 
   ScreeningOptions screen_options;
   screen_options.offline_period = SimTime::Days(9);
   screen_options.offline_iterations = 64;  // keep the 120-tick drive cheap
   screen_options.online_enabled = false;   // the wheel indexes only the offline cadence
 
-  CoreScheduler sched_dense(cores, SchedulerCosts{});
-  CoreScheduler sched_sparse(cores, SchedulerCosts{});
+  // An inexact per-drain cost (0.1 * 3), so the migration sum is only bit-equal if both
+  // twins add it once per drain.
+  SchedulerCosts costs;
+  costs.migrate_task_core_seconds = 0.1;
+  costs.tasks_per_core = 3.0;
+  CoreScheduler sched_dense(cores, costs);
+  CoreScheduler sched_sparse(cores, costs);
   ScreeningOrchestrator dense(screen_options, cores, Rng(77));
   ScreeningOrchestrator sparse(screen_options, cores, Rng(77));
 
@@ -782,15 +798,18 @@ TEST(PropertyTest, SparseWheelScreensExactlyTheDenseTicks) {
 
   Rng churn(999);
   uint64_t total_screens = 0;
+  uint64_t total_cohort_screens = 0;
+  uint64_t total_defective_screens = 0;
+  uint64_t total_failures = 0;
   uint64_t total_deferred = 0;
   for (int64_t t = 1; t <= 120; ++t) {
     const SimTime now = SimTime::Seconds(t * dt.seconds());
     fleet_dense.SetAges(now);
     fleet_sparse.SetAges(now);
 
-    // Identical scheduler churn on both twins: the wheel must keep visiting unschedulable
-    // cores (their cadence advances; the confession path owns them) and must tolerate
-    // retirement (the core stays parked in the wheel, skipped forever).
+    // Identical scheduler churn on both twins: the wheel and the cohorts must keep visiting
+    // unschedulable cores (their cadence advances; the confession path owns them) and must
+    // tolerate retirement (the core stays in the wheel or its cohort, skipped forever).
     for (int j = 0; j < 3; ++j) {
       const uint64_t core = churn.UniformInt(0, cores - 1);
       switch (churn.UniformInt(0, 3)) {
@@ -826,8 +845,18 @@ TEST(PropertyTest, SparseWheelScreensExactlyTheDenseTicks) {
           now, dt, ranges[k].begin, ranges[k].end, fleet_dense, sched_dense, rng_dense);
       const ShardScreenOutcome out_sparse = sparse.TickShard(
           now, dt, ranges[k].begin, ranges[k].end, fleet_sparse, sched_sparse, rng_sparse);
-      ASSERT_EQ(out_dense.offline_drained, out_sparse.offline_drained)
-          << "tick " << t << " shard " << k;
+      std::vector<uint64_t> dense_defective;
+      uint64_t dense_healthy = 0;
+      for (const uint64_t core : out_dense.offline_drained) {
+        if (fleet_dense.Healthy(core)) {
+          ++dense_healthy;
+        } else {
+          dense_defective.push_back(core);
+        }
+      }
+      ASSERT_EQ(out_dense.healthy_drained, 0u) << "the dense scan screens every core by id";
+      ASSERT_EQ(dense_defective, out_sparse.offline_drained) << "tick " << t << " shard " << k;
+      ASSERT_EQ(dense_healthy, out_sparse.healthy_drained) << "tick " << t << " shard " << k;
       ASSERT_EQ(out_dense.stats.offline_screens, out_sparse.stats.offline_screens);
       ASSERT_EQ(out_dense.stats.screen_failures, out_sparse.stats.screen_failures);
       ASSERT_EQ(out_dense.stats.ops_spent, out_sparse.stats.ops_spent);
@@ -837,24 +866,38 @@ TEST(PropertyTest, SparseWheelScreensExactlyTheDenseTicks) {
         EXPECT_EQ(out_dense.failures[i].type, out_sparse.failures[i].type);
       }
       total_screens += out_dense.stats.offline_screens;
-      for (const uint64_t core : out_dense.offline_drained) {
-        sched_dense.Drain(core);
-        sched_dense.Release(core);
-        sched_sparse.Drain(core);
-        sched_sparse.Release(core);
-      }
+      total_cohort_screens += out_sparse.healthy_drained;
+      total_defective_screens += out_sparse.offline_drained.size();
+      total_failures += out_sparse.stats.screen_failures;
+      out_dense.ApplyDrains(sched_dense);
+      out_sparse.ApplyDrains(sched_sparse);
+      ASSERT_EQ(sched_dense.stats(), sched_sparse.stats()) << "tick " << t << " shard " << k;
     }
 
     if (t % 10 == 0) {
       // Guardrail throttle: both twins must defer exactly the same screens (the sparse path
-      // extracts the wheel window and re-checks the exact due times).
+      // extracts the wheel window and re-checks the exact due times, and moves whole cohorts).
       const uint64_t deferred_dense = dense.ThrottleOffline(now, SimTime::Days(5));
       const uint64_t deferred_sparse = sparse.ThrottleOffline(now, SimTime::Days(5));
       ASSERT_EQ(deferred_dense, deferred_sparse) << "tick " << t;
       total_deferred += deferred_dense;
     }
+
+    // Identity, not only counts: every core — cohort members included — must hold the dense
+    // twin's exact next due. A core parked until its install tick holds some due <= now on
+    // both twins (dense re-pins it every tick), so compare dues clamped to now.
+    const std::vector<SimTime> due_dense = dense.OfflineDueTable();
+    const std::vector<SimTime> due_sparse = sparse.OfflineDueTable();
+    for (size_t core = 0; core < cores; ++core) {
+      ASSERT_EQ(std::max(due_dense[core], now).seconds(),
+                std::max(due_sparse[core], now).seconds())
+          << "tick " << t << " core " << core;
+    }
   }
   EXPECT_GT(total_screens, 0u) << "drive never screened; the property is vacuous";
+  EXPECT_GT(total_cohort_screens, 0u) << "no cohort ever screened; cohorts untested";
+  EXPECT_GT(total_defective_screens, 0u) << "no defective screen; wheel order untested";
+  EXPECT_GT(total_failures, 0u) << "no screen ever failed; failure order untested";
   EXPECT_GT(total_deferred, 0u) << "drive never deferred; throttle reschedules untested";
   const DueWheelStats wheel = sparse.wheel_stats();
   EXPECT_GE(wheel.scheduled, wheel.drained);
