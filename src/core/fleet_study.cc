@@ -16,6 +16,9 @@ namespace {
 constexpr const char* kUserSeries = "incidents.user_reported";
 constexpr const char* kAutoSeries = "incidents.auto_reported";
 
+// Capacity of the machine-check log ring (McaLog overwrites its oldest record when full).
+constexpr size_t kMcaLogCapacity = 4096;
+
 // The study owns the provenance-epoch granularity: one epoch per tick, so the repair
 // pipeline's suspect window maps 1:1 onto ledger entries.
 RepairOptions ResolveAuditOptions(const StudyOptions& options) {
@@ -84,7 +87,7 @@ FleetStudy::FleetStudy(StudyOptions options)
       // identity, label) and never advances the parent, so adding it leaves every existing
       // stream untouched — a disabled audit is bit-invisible.
       repair_(ResolveAuditOptions(options), rng_.Split(0xb1a5)),
-      mca_log_(options.mca_log_capacity) {
+      mca_log_(kMcaLogCapacity) {
   report_.machines = fleet_.machine_count();
   report_.cores = fleet_.core_count();
   report_.true_mercurial_cores = fleet_.mercurial_cores().size();

@@ -135,10 +135,9 @@ struct StudyOptions {
   // Run one full-coverage offline screen of every core before production (burn-in analog).
   bool burn_in = false;
 
-  // MCA telemetry: capacity of the machine-check log ring and the probability that a record's
-  // reporting bank is scrambled to an unrelated unit (§5: "the mapping of instructions to
-  // possibly-defective hardware is non-obvious"; §7.1 asks for better telemetry).
-  size_t mca_log_capacity = 4096;
+  // MCA telemetry: the probability that a record's reporting bank is scrambled to an
+  // unrelated unit (§5: "the mapping of instructions to possibly-defective hardware is
+  // non-obvious"; §7.1 asks for better telemetry).
   double mca_bank_confusion = 0.2;
 
   // Incidents earlier than this are excluded from the Fig. 1 series (steady-state trim: at

@@ -196,106 +196,27 @@ std::vector<uint64_t> ChaosInjector::DrawRestarts(SimTime dt,
   return restarts;
 }
 
-namespace {
-
-void PutChaosStats(ByteWriter& w, const ChaosStats& s) {
-  w.PutU64(s.reports_dropped);
-  w.PutU64(s.reports_delayed);
-  w.PutU64(s.reports_duplicated);
-  w.PutU64(s.interrogations_aborted);
-  w.PutU64(s.machine_restarts);
-  w.PutU64(s.reverify_misses);
-  w.PutU64(s.defective_repairs);
-  w.PutU64(s.partial_repairs);
-  w.PutU64(s.witnesses_lied);
-  w.PutU64(s.witnesses_crashed);
-  w.PutU64(s.probation_signals_suppressed);
+template <class S, class Io>
+void ChaosInjector::Wire(S& s, Io& io) {
+  io.RngCursor(s.rng_);
+  WireChaosStats(s.stats_, io);
+  io.U64(s.next_seq_);
+  io.Seq(s.delayed_, [&](auto& d) {
+    io.Time(d.due);
+    io.U64(d.seq);
+    io.Time(d.signal.time);
+    io.U64(d.signal.machine, d.signal.core_global);
+    io.Enum(d.signal.type, kSignalTypeCount, "chaos delayed signal has out-of-range type");
+  });
 }
-
-Status GetChaosStats(ByteReader& r, ChaosStats* s) {
-  if (Status st = r.GetU64(&s->reports_dropped); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->reports_delayed); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->reports_duplicated); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->interrogations_aborted); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->machine_restarts); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->reverify_misses); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->defective_repairs); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->partial_repairs); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->witnesses_lied); !st.ok()) return st;
-  if (Status st = r.GetU64(&s->witnesses_crashed); !st.ok()) return st;
-  return r.GetU64(&s->probation_signals_suppressed);
-}
-
-}  // namespace
-
-void SaveChaosStatsWire(ByteWriter& w, const ChaosStats& stats) { PutChaosStats(w, stats); }
-
-Status LoadChaosStatsWire(ByteReader& r, ChaosStats* stats) { return GetChaosStats(r, stats); }
 
 void ChaosInjector::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  PutChaosStats(w, stats_);
-  w.PutU64(next_seq_);
-  w.PutU32(static_cast<uint32_t>(delayed_.size()));
-  for (const DelayedSignal& d : delayed_) {
-    w.PutI64(d.due.seconds());
-    w.PutU64(d.seq);
-    w.PutI64(d.signal.time.seconds());
-    w.PutU64(d.signal.machine);
-    w.PutU64(d.signal.core_global);
-    w.PutU8(static_cast<uint8_t>(d.signal.type));
-  }
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status ChaosInjector::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  ChaosStats stats;
-  if (Status s = GetChaosStats(r, &stats); !s.ok()) {
-    return s;
-  }
-  uint64_t next_seq = 0;
-  if (Status s = r.GetU64(&next_seq); !s.ok()) {
-    return s;
-  }
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::vector<DelayedSignal> delayed;
-  delayed.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    DelayedSignal d;
-    int64_t due = 0;
-    int64_t signal_time = 0;
-    uint8_t type = 0;
-    if (Status s = r.GetI64(&due); !s.ok()) return s;
-    if (Status s = r.GetU64(&d.seq); !s.ok()) return s;
-    if (Status s = r.GetI64(&signal_time); !s.ok()) return s;
-    if (Status s = r.GetU64(&d.signal.machine); !s.ok()) return s;
-    if (Status s = r.GetU64(&d.signal.core_global); !s.ok()) return s;
-    if (Status s = r.GetU8(&type); !s.ok()) return s;
-    if (type >= kSignalTypeCount) {
-      return DataLossError("chaos delayed signal has out-of-range type");
-    }
-    d.due = SimTime::Seconds(due);
-    d.signal.time = SimTime::Seconds(signal_time);
-    d.signal.type = static_cast<SignalType>(type);
-    delayed.push_back(d);
-  }
-  rng_.RestoreState(rng_state);
-  stats_ = stats;
-  next_seq_ = next_seq;
-  delayed_ = std::move(delayed);
-  return Status::Ok();
+  return WireLoad(r, *this, [](ChaosInjector& c, WireIn& in) { Wire(c, in); });
 }
 
 }  // namespace mercurial

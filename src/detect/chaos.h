@@ -108,10 +108,14 @@ struct ChaosStats {
   bool operator==(const ChaosStats&) const = default;
 };
 
-// Wire round trip for a ChaosStats block, shared by the serializers that embed one (the
-// control plane's and repair orchestrator's durable-state codecs).
-void SaveChaosStatsWire(ByteWriter& w, const ChaosStats& stats);
-Status LoadChaosStatsWire(ByteReader& r, ChaosStats* stats);
+// Field list of a ChaosStats block (wire.h), shared by the injector's durable state and the
+// copies the control plane and the repair orchestrator keep.
+template <class S, class Io>
+void WireChaosStats(S& s, Io& io) {
+  io.U64(s.reports_dropped, s.reports_delayed, s.reports_duplicated, s.interrogations_aborted,
+         s.machine_restarts, s.reverify_misses, s.defective_repairs, s.partial_repairs,
+         s.witnesses_lied, s.witnesses_crashed, s.probation_signals_suppressed);
+}
 
 class ChaosInjector {
  public:
@@ -177,6 +181,9 @@ class ChaosInjector {
     uint64_t seq = 0;  // injection order, for a deterministic tie-break on equal due times
     Signal signal;
   };
+
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
 
   ChaosOptions options_;
   Rng rng_;

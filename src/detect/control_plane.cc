@@ -23,9 +23,6 @@ Status ControlPlaneOptions::Validate() const {
   if (!(quarantine_budget_fraction > 0.0 && quarantine_budget_fraction <= 1.0)) {
     return InvalidArgumentError("quarantine_budget_fraction must be in (0, 1]");
   }
-  if (throttle_defer.seconds() < 0) {
-    return InvalidArgumentError("throttle_defer must be >= 0");
-  }
   if (Status s = quorum.Validate(); !s.ok()) {
     return s;
   }
@@ -183,18 +180,14 @@ void QuarantineControlPlane::RunInterrogations(SimTime now, Fleet& fleet,
                                                CoreScheduler& scheduler,
                                                CeeReportService& service,
                                                std::vector<QuarantineVerdict>& verdicts) {
-  uint64_t started = 0;
   std::vector<Pending> still_pending;
   still_pending.reserve(pending_.size());
   for (size_t i = 0; i < pending_.size(); ++i) {
     Pending& pending = pending_[i];
-    if (pending.draining || pending.next_attempt > now ||
-        (options_.max_interrogations_per_tick > 0 &&
-         started >= options_.max_interrogations_per_tick)) {
+    if (pending.draining || pending.next_attempt > now) {
       still_pending.push_back(pending);
       continue;
     }
-    ++started;
     ++pending.attempts;
     if (pending.attempts > 1) {
       ++stats_.retry_interrogations;
@@ -421,7 +414,7 @@ void QuarantineControlPlane::EnforceGuardrail(SimTime now, Fleet& fleet,
   // bit-identical to the dense scan) — the control plane needs no wheel awareness beyond
   // calling it between parallel phases, which Tick's position in the tick loop guarantees.
   if (screening != nullptr) {
-    stats_.screening_deferrals += screening->ThrottleOffline(now, options_.throttle_defer);
+    stats_.screening_deferrals += screening->ThrottleOffline(now, kGuardrailThrottleDefer);
   }
 
   // Release the least-suspect pending cores first until the pipeline is back under budget.
@@ -486,147 +479,38 @@ std::vector<QuarantineVerdict> QuarantineControlPlane::Tick(SimTime now, SimTime
   return verdicts;
 }
 
+template <class S, class Io>
+void QuarantineControlPlane::Wire(S& s, Io& io) {
+  io.RngCursor(s.control_rng_);
+  WireControlPlaneStats(s.stats_, io);
+  io.Seq(s.pending_, [&](auto& p) {
+    io.U64(p.core_global, p.machine);
+    io.F64(p.score);
+    io.Int(p.attempts);
+    io.Bool(p.draining);
+    io.Time(p.drain_done, p.next_attempt);
+  });
+  io.Seq(s.probation_, [&](auto& p) {
+    io.U64(p.core_global, p.machine);
+    io.Time(p.entered);
+    io.Int(p.windows_clean);
+    io.Time(p.next_window);
+    io.Seq(p.restricted_units, [&](auto& unit) {
+      io.Enum(unit, kExecUnitCount, "probation restricted unit out of range");
+    });
+  });
+  io.Durable(s.manager_);
+  io.Durable(s.chaos_);
+  io.Durable(s.quorum_);
+}
+
 void QuarantineControlPlane::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  control_rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  w.PutU64(stats_.suspects_admitted);
-  w.PutU64(stats_.suspects_shed);
-  w.PutU64(stats_.queue_peak);
-  w.PutU64(stats_.retries_scheduled);
-  w.PutU64(stats_.retry_interrogations);
-  w.PutU64(stats_.drain_escalations);
-  w.PutU64(stats_.guardrail_activations);
-  w.PutU64(stats_.guardrail_releases);
-  w.PutU64(stats_.screening_deferrals);
-  w.PutU64(stats_.restarts_reset);
-  w.PutU64(stats_.peak_pending_isolation);
-  w.PutDouble(stats_.pending_isolation_core_seconds);
-  w.PutU64(stats_.pending_at_end);
-  w.PutU64(stats_.probation_pending_at_end);
-  SaveQuorumStatsWire(w, stats_.quorum);
-  SaveChaosStatsWire(w, stats_.chaos);
-  w.PutU32(static_cast<uint32_t>(pending_.size()));
-  for (const Pending& p : pending_) {
-    w.PutU64(p.core_global);
-    w.PutU64(p.machine);
-    w.PutDouble(p.score);
-    w.PutI64(p.attempts);
-    w.PutBool(p.draining);
-    w.PutI64(p.drain_done.seconds());
-    w.PutI64(p.next_attempt.seconds());
-  }
-  w.PutU32(static_cast<uint32_t>(probation_.size()));
-  for (const ProbationRecord& p : probation_) {
-    w.PutU64(p.core_global);
-    w.PutU64(p.machine);
-    w.PutI64(p.entered.seconds());
-    w.PutI64(p.windows_clean);
-    w.PutI64(p.next_window.seconds());
-    w.PutU32(static_cast<uint32_t>(p.restricted_units.size()));
-    for (ExecUnit unit : p.restricted_units) {
-      w.PutU8(static_cast<uint8_t>(unit));
-    }
-  }
-  manager_.SaveDurableState(w);
-  chaos_.SaveDurableState(w);
-  quorum_.SaveDurableState(w);
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status QuarantineControlPlane::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  ControlPlaneStats stats;
-  if (Status s = r.GetU64(&stats.suspects_admitted); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.suspects_shed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.queue_peak); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retries_scheduled); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retry_interrogations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.drain_escalations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.guardrail_activations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.guardrail_releases); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.screening_deferrals); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.restarts_reset); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.peak_pending_isolation); !s.ok()) return s;
-  if (Status s = r.GetDouble(&stats.pending_isolation_core_seconds); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.pending_at_end); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.probation_pending_at_end); !s.ok()) return s;
-  if (Status s = LoadQuorumStatsWire(r, &stats.quorum); !s.ok()) return s;
-  if (Status s = LoadChaosStatsWire(r, &stats.chaos); !s.ok()) return s;
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::vector<Pending> pending;
-  pending.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Pending p;
-    int64_t attempts = 0;
-    int64_t drain_done = 0;
-    int64_t next_attempt = 0;
-    if (Status s = r.GetU64(&p.core_global); !s.ok()) return s;
-    if (Status s = r.GetU64(&p.machine); !s.ok()) return s;
-    if (Status s = r.GetDouble(&p.score); !s.ok()) return s;
-    if (Status s = r.GetI64(&attempts); !s.ok()) return s;
-    if (Status s = r.GetBool(&p.draining); !s.ok()) return s;
-    if (Status s = r.GetI64(&drain_done); !s.ok()) return s;
-    if (Status s = r.GetI64(&next_attempt); !s.ok()) return s;
-    p.attempts = static_cast<int>(attempts);
-    p.drain_done = SimTime::Seconds(drain_done);
-    p.next_attempt = SimTime::Seconds(next_attempt);
-    pending.push_back(p);
-  }
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::vector<ProbationRecord> probation;
-  probation.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ProbationRecord p;
-    int64_t entered = 0;
-    int64_t windows_clean = 0;
-    int64_t next_window = 0;
-    uint32_t unit_count = 0;
-    if (Status s = r.GetU64(&p.core_global); !s.ok()) return s;
-    if (Status s = r.GetU64(&p.machine); !s.ok()) return s;
-    if (Status s = r.GetI64(&entered); !s.ok()) return s;
-    if (Status s = r.GetI64(&windows_clean); !s.ok()) return s;
-    if (Status s = r.GetI64(&next_window); !s.ok()) return s;
-    if (Status s = r.GetU32(&unit_count); !s.ok()) return s;
-    p.entered = SimTime::Seconds(entered);
-    p.windows_clean = static_cast<int>(windows_clean);
-    p.next_window = SimTime::Seconds(next_window);
-    p.restricted_units.reserve(unit_count);
-    for (uint32_t u = 0; u < unit_count; ++u) {
-      uint8_t unit = 0;
-      if (Status s = r.GetU8(&unit); !s.ok()) return s;
-      if (unit >= kExecUnitCount) {
-        return DataLossError("probation restricted unit out of range");
-      }
-      p.restricted_units.push_back(static_cast<ExecUnit>(unit));
-    }
-    probation.push_back(std::move(p));
-  }
-  if (Status s = manager_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  if (Status s = chaos_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  if (Status s = quorum_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  control_rng_.RestoreState(rng_state);
-  stats_ = stats;
-  pending_ = std::move(pending);
-  probation_ = std::move(probation);
-  return Status::Ok();
+  return WireLoad(r, *this, [](QuarantineControlPlane& p, WireIn& in) { Wire(p, in); });
 }
 
 void QuarantineControlPlane::ReconcileWithFleet(CoreScheduler& scheduler,

@@ -65,12 +65,14 @@ class TraceRecorder;
 enum class TraceEventKind : uint8_t;
 enum class TraceCause : uint8_t;
 
+// How far the capacity guardrail pushes back offline screens that would come due while the
+// plane is over budget.
+inline constexpr SimTime kGuardrailThrottleDefer = SimTime::Days(7);
+
 struct ControlPlaneOptions {
   // Admission control: max suspects resident in the pipeline at once. 0 = unbounded (legacy
-  // synchronous behavior).
+  // synchronous behavior). Every due interrogation battery starts in the tick it comes due.
   size_t max_pending = 0;
-  // Interrogation batteries started per tick. 0 = unbounded (legacy: whole batch same tick).
-  size_t max_interrogations_per_tick = 0;
 
   // Retries for non-confessing (or aborted) interrogations. 0 = single-shot (legacy). The
   // k-th retry waits retry_backoff * 2^k, jittered by +-retry_jitter, while the core stays
@@ -87,9 +89,8 @@ struct ControlPlaneOptions {
 
   // Capacity guardrail: max fraction of the fleet's cores in draining + quarantined at once.
   // 1.0 disables. When exceeded, pending cores are released least-suspect-first and offline
-  // screens due within `throttle_defer` are pushed back by it.
+  // screens due within kGuardrailThrottleDefer are pushed back by it.
   double quarantine_budget_fraction = 1.0;
-  SimTime throttle_defer = SimTime::Days(7);
 
   // Untrusted-interrogator quorum: each completed battery is re-judged by K witness cores
   // (quorum.h). Off by default — the single tester's testimony stands, bit-identically.
@@ -133,6 +134,18 @@ struct ControlPlaneStats {
 
   bool operator==(const ControlPlaneStats&) const = default;
 };
+
+// Field list of a ControlPlaneStats block (wire.h), its quorum and chaos copies included.
+template <class S, class Io>
+void WireControlPlaneStats(S& s, Io& io) {
+  io.U64(s.suspects_admitted, s.suspects_shed, s.queue_peak, s.retries_scheduled,
+         s.retry_interrogations, s.drain_escalations, s.guardrail_activations,
+         s.guardrail_releases, s.screening_deferrals, s.restarts_reset, s.peak_pending_isolation);
+  io.F64(s.pending_isolation_core_seconds);
+  io.U64(s.pending_at_end, s.probation_pending_at_end);
+  WireQuorumStats(s.quorum, io);
+  WireChaosStats(s.chaos, io);
+}
 
 class QuarantineControlPlane {
  public:
@@ -192,7 +205,8 @@ class QuarantineControlPlane {
   // pending and probation books, the control RNG cursor, and the nested manager / chaos /
   // quorum state. Options, hooks, and the trace recorder are wiring, reconstructed by the
   // owning study, never persisted. LoadDurableState fully replaces the durable state — a
-  // recovered plane continues bit-identically from the journaled cursor.
+  // recovered plane continues bit-identically from the journaled cursor — or, on DATA_LOSS,
+  // leaves all of it, the nested units included, as it was.
   void SaveDurableState(ByteWriter& w) const;
   Status LoadDurableState(ByteReader& r);
 
@@ -241,6 +255,9 @@ class QuarantineControlPlane {
                      CeeReportService& service);
   void EnforceGuardrail(SimTime now, Fleet& fleet, CoreScheduler& scheduler,
                         CeeReportService& service, ScreeningOrchestrator* screening);
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
+
   bool IsPending(uint64_t core_global) const;
   SimTime BackoffDelay(int attempts);
   void Trace(uint64_t core, TraceEventKind kind, TraceCause cause, uint64_t detail = 0);

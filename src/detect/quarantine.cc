@@ -1,6 +1,5 @@
 #include "src/detect/quarantine.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace mercurial {
@@ -202,137 +201,26 @@ std::vector<QuarantineVerdict> QuarantineManager::Process(
   return verdicts;
 }
 
-namespace {
-
-// Sorted key order: unordered_map iteration order is a function of hashing history, which a
-// recovered process does not share, so the serialized bytes must not depend on it.
-template <typename Map>
-std::vector<uint64_t> SortedKeys(const Map& map) {
-  std::vector<uint64_t> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+template <class S, class Io>
+void QuarantineManager::Wire(S& s, Io& io) {
+  io.RngCursor(s.rng_);
+  WireQuarantineStats(s.stats_, io);
+  io.Map(s.accusation_counts_, [&](auto& accusations) { io.Int(accusations); });
+  io.Map(s.failed_units_, [&](auto& units) {
+    io.Seq(units, [&](auto& unit) {
+      io.Enum(unit, kExecUnitCount, "quarantine failed unit out of range");
+    });
+  });
+  io.Map(s.retirement_times_, [&](auto& time) { io.Time(time); });
 }
 
-}  // namespace
-
 void QuarantineManager::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  w.PutU64(stats_.suspects_processed);
-  w.PutU64(stats_.accusations);
-  w.PutU64(stats_.confessions);
-  w.PutU64(stats_.releases);
-  w.PutU64(stats_.retirements);
-  w.PutU64(stats_.recidivism_retirements);
-  w.PutU64(stats_.probation_entries);
-  w.PutU64(stats_.probation_escalations);
-  w.PutU64(stats_.reinstatements);
-  w.PutU64(stats_.interrogation_ops);
-  w.PutU64(stats_.true_positive_retirements);
-  w.PutU64(stats_.false_positive_retirements);
-  w.PutU64(stats_.missed_confessions);
-  w.PutU32(static_cast<uint32_t>(accusation_counts_.size()));
-  for (uint64_t core : SortedKeys(accusation_counts_)) {
-    w.PutU64(core);
-    w.PutI64(accusation_counts_.at(core));
-  }
-  w.PutU32(static_cast<uint32_t>(failed_units_.size()));
-  for (uint64_t core : SortedKeys(failed_units_)) {
-    w.PutU64(core);
-    const std::vector<ExecUnit>& units = failed_units_.at(core);
-    w.PutU32(static_cast<uint32_t>(units.size()));
-    for (ExecUnit unit : units) {
-      w.PutU8(static_cast<uint8_t>(unit));
-    }
-  }
-  w.PutU32(static_cast<uint32_t>(retirement_times_.size()));
-  for (uint64_t core : SortedKeys(retirement_times_)) {
-    w.PutU64(core);
-    w.PutI64(retirement_times_.at(core).seconds());
-  }
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status QuarantineManager::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  QuarantineStats stats;
-  if (Status s = r.GetU64(&stats.suspects_processed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.accusations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.confessions); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.releases); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retirements); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.recidivism_retirements); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.probation_entries); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.probation_escalations); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.reinstatements); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.interrogation_ops); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.true_positive_retirements); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.false_positive_retirements); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.missed_confessions); !s.ok()) return s;
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::unordered_map<uint64_t, int> accusation_counts;
-  accusation_counts.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t core = 0;
-    int64_t accusations = 0;
-    if (Status s = r.GetU64(&core); !s.ok()) return s;
-    if (Status s = r.GetI64(&accusations); !s.ok()) return s;
-    accusation_counts[core] = static_cast<int>(accusations);
-  }
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed_units;
-  failed_units.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t core = 0;
-    uint32_t unit_count = 0;
-    if (Status s = r.GetU64(&core); !s.ok()) return s;
-    if (Status s = r.GetU32(&unit_count); !s.ok()) return s;
-    std::vector<ExecUnit> units;
-    units.reserve(unit_count);
-    for (uint32_t u = 0; u < unit_count; ++u) {
-      uint8_t unit = 0;
-      if (Status s = r.GetU8(&unit); !s.ok()) return s;
-      if (unit >= kExecUnitCount) {
-        return DataLossError("quarantine failed unit out of range");
-      }
-      units.push_back(static_cast<ExecUnit>(unit));
-    }
-    failed_units[core] = std::move(units);
-  }
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
-  }
-  std::unordered_map<uint64_t, SimTime> retirement_times;
-  retirement_times.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t core = 0;
-    int64_t seconds = 0;
-    if (Status s = r.GetU64(&core); !s.ok()) return s;
-    if (Status s = r.GetI64(&seconds); !s.ok()) return s;
-    retirement_times[core] = SimTime::Seconds(seconds);
-  }
-  rng_.RestoreState(rng_state);
-  stats_ = stats;
-  accusation_counts_ = std::move(accusation_counts);
-  failed_units_ = std::move(failed_units);
-  retirement_times_ = std::move(retirement_times);
-  return Status::Ok();
+  return WireLoad(r, *this, [](QuarantineManager& m, WireIn& in) { Wire(m, in); });
 }
 
 }  // namespace mercurial

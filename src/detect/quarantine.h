@@ -16,8 +16,7 @@
 #ifndef MERCURIAL_SRC_DETECT_QUARANTINE_H_
 #define MERCURIAL_SRC_DETECT_QUARANTINE_H_
 
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -84,6 +83,15 @@ struct QuarantineStats {
 
   bool operator==(const QuarantineStats&) const = default;
 };
+
+// Field list of a QuarantineStats block (wire.h).
+template <class S, class Io>
+void WireQuarantineStats(S& s, Io& io) {
+  io.U64(s.suspects_processed, s.accusations, s.confessions, s.releases, s.retirements,
+         s.recidivism_retirements, s.probation_entries, s.probation_escalations,
+         s.reinstatements, s.interrogation_ops, s.true_positive_retirements,
+         s.false_positive_retirements, s.missed_confessions);
+}
 
 struct QuarantineVerdict {
   uint64_t core_global = 0;
@@ -171,31 +179,34 @@ class QuarantineManager {
   const QuarantineStats& stats() const { return stats_; }
 
   // Known-bad units per retired core (for §6.1 safe-task placement studies).
-  const std::unordered_map<uint64_t, std::vector<ExecUnit>>& failed_units() const {
+  const std::map<uint64_t, std::vector<ExecUnit>>& failed_units() const {
     return failed_units_;
   }
 
   // Time each core was first retired (for detection-latency metrics).
-  const std::unordered_map<uint64_t, SimTime>& retirement_times() const {
+  const std::map<uint64_t, SimTime>& retirement_times() const {
     return retirement_times_;
   }
 
   // Durable-state round trip for the write-ahead journal (src/durability): the interrogation
-  // RNG cursor, verdict counters, and the recidivism/failed-unit/retirement books. Maps are
-  // serialized in sorted key order so the bytes are deterministic; the books are only ever
-  // consumed by key lookup, so the rebuilt hash order is behavior-invisible. Policy and the
-  // (stateless) tester are reconstructed from StudyOptions, not persisted.
+  // RNG cursor, verdict counters, and the recidivism/failed-unit/retirement books. The books
+  // are ordered maps, so they serialize in core order and the bytes never depend on hashing
+  // history. Policy and the (stateless) tester are reconstructed from StudyOptions, not
+  // persisted.
   void SaveDurableState(ByteWriter& w) const;
   Status LoadDurableState(ByteReader& r);
 
  private:
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
+
   QuarantinePolicy policy_;
   ConfessionTester tester_;
   Rng rng_;
   QuarantineStats stats_;
-  std::unordered_map<uint64_t, int> accusation_counts_;
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed_units_;
-  std::unordered_map<uint64_t, SimTime> retirement_times_;
+  std::map<uint64_t, int> accusation_counts_;
+  std::map<uint64_t, std::vector<ExecUnit>> failed_units_;
+  std::map<uint64_t, SimTime> retirement_times_;
 };
 
 }  // namespace mercurial

@@ -30,6 +30,7 @@
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/common/status.h"
+#include "src/common/wire.h"
 #include "src/detect/chaos.h"
 #include "src/fleet/fleet.h"
 #include "src/sched/scheduler.h"
@@ -110,10 +111,12 @@ struct QuorumVerdict {
 uint64_t PackQuorumDetail(const QuorumVerdict& verdict);
 QuorumVerdict UnpackQuorumDetail(uint64_t detail);
 
-// Wire round trip for a QuorumStats block, shared by the serializers that embed one (the
-// control plane's durable-state codec carries its copied QuorumStats).
-void SaveQuorumStatsWire(ByteWriter& w, const QuorumStats& stats);
-Status LoadQuorumStatsWire(ByteReader& r, QuorumStats* stats);
+// Field list of a QuorumStats block (wire.h), shared by the interrogator's durable state and
+// the control plane's copy of it.
+template <class S, class Io>
+void WireQuorumStats(S& s, Io& io) {
+  io.U64(s.judgments, s.votes_cast, s.splits, s.escalations, s.fallbacks, s.overrides);
+}
 
 class QuorumInterrogator {
  public:
@@ -139,6 +142,8 @@ class QuorumInterrogator {
   // One voting round with `quorum_size` witnesses. Returns true if a majority formed.
   bool RunRound(uint64_t suspect, bool tester_confessed, int quorum_size, const Fleet& fleet,
                 const CoreScheduler& scheduler, ChaosInjector& chaos, QuorumVerdict* verdict);
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
 
   QuorumOptions options_;
   Rng rng_;

@@ -8,6 +8,12 @@
 #include "src/telemetry/trace.h"
 
 namespace mercurial {
+namespace {
+
+// Core records whose decayed score falls below this are noise and are dropped.
+constexpr double kPruneBelow = 0.05;
+
+}  // namespace
 
 const char* SignalTypeName(SignalType type) {
   switch (type) {
@@ -99,7 +105,7 @@ std::vector<SuspectCore> CeeReportService::Suspects(SimTime now) {
   for (auto it = core_records_.begin(); it != core_records_.end();) {
     CoreRecord& record = it->second;
     record.DecayTo(now, options_.half_life_days, decay_memo_);
-    if (record.score < options_.prune_below) {
+    if (record.score < kPruneBelow) {
       it = core_records_.erase(it);
       continue;
     }

@@ -31,7 +31,6 @@ struct ReportServiceOptions {
   double half_life_days = 14.0;    // decay of report scores
   double min_score = 2.0;          // minimum decayed per-core score to even consider
   double p_value_threshold = 1e-3; // concentration test significance
-  double prune_below = 0.05;       // drop records whose score decayed to noise
   // Signal-type weights: a machine check or screen fail is stronger evidence than one crash.
   double type_weight[kSignalTypeCount] = {1.0, 1.0, 1.0, 2.0, 1.5, 4.0};
   // Screening failures are direct, core-attributed evidence (the battery compared results

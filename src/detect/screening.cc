@@ -493,7 +493,7 @@ bool ScreeningOrchestrator::ScreenOne(SimTime now, uint64_t core_index, bool off
   StressOptions stress;
   stress.units = CoveredUnits(now);
   stress.iterations_per_unit = iterations;
-  if (offline && options_.offline_sweep_fvt) {
+  if (offline) {
     stress.sweep = StandardScreeningSweep();
   }
   const StressReport report = RunStressBattery(core, rng, stress);

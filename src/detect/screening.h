@@ -50,8 +50,9 @@ struct ScreeningRiskWeights {
 struct ScreeningOptions {
   bool offline_enabled = true;
   SimTime offline_period = SimTime::Days(45);  // per-core cadence
+  // Offline batteries run at every StandardScreeningSweep() operating point; online ones at
+  // the core's current point.
   uint64_t offline_iterations = 2048;
-  bool offline_sweep_fvt = true;
 
   bool online_enabled = true;
   double online_fraction_per_day = 0.02;  // expected fraction of cores sampled per day

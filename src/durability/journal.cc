@@ -268,100 +268,56 @@ Status DurabilityManager::ApplySnapshot(const ScannedFrame& frame,
   if (unit_count != units_.size()) {
     return DataLossError("snapshot unit count does not match the registered units");
   }
-  size_t offset = frame.payload_begin + frame.payload_len - r.remaining();
   for (Unit& unit : units_) {
     uint32_t len = 0;
     if (Status s = r.GetU32(&len); !s.ok()) {
       return s;
     }
-    offset += 4;
-    if (len > r.remaining()) {
+    ByteReader unit_reader;
+    if (!r.Take(len, &unit_reader).ok()) {
       return DataLossError("snapshot unit payload exceeds the frame");
     }
-    ByteReader unit_reader(buffer_.data() + offset, len);
     if (Status s = unit.load(unit_reader); !s.ok()) {
       return s;
     }
     if (Status s = unit_reader.ExpectEnd(); !s.ok()) {
       return s;
     }
-    // Skip over the unit payload in the frame reader.
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
   }
   return r.ExpectEnd();
 }
 
 Status DurabilityManager::ApplyTickDelta(const ScannedFrame& frame) {
   ByteReader r(buffer_.data() + frame.payload_begin, frame.payload_len);
-  uint32_t full_count = 0;
-  if (Status s = r.GetU32(&full_count); !s.ok()) {
-    return s;
-  }
-  size_t offset = frame.payload_begin + (frame.payload_len - r.remaining());
-  for (uint32_t i = 0; i < full_count; ++i) {
-    uint32_t index = 0;
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) return s;
-    if (Status s = r.GetU32(&len); !s.ok()) return s;
-    offset += 8;
-    if (index >= units_.size() || units_[index].is_delta) {
-      return DataLossError("tick frame names an invalid full unit");
-    }
-    if (len > r.remaining()) {
-      return DataLossError("tick frame unit payload exceeds the frame");
-    }
-    ByteReader unit_reader(buffer_.data() + offset, len);
-    if (Status s = units_[index].load(unit_reader); !s.ok()) {
+  // Two sections, each [u32 count]([u32 unit index][u32 len][payload])*: full-unit payloads
+  // (load), then delta-unit op logs (apply).
+  for (const bool delta : {false, true}) {
+    uint32_t count = 0;
+    if (Status s = r.GetU32(&count); !s.ok()) {
       return s;
     }
-    if (Status s = unit_reader.ExpectEnd(); !s.ok()) {
-      return s;
-    }
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
+    for (uint32_t i = 0; i < count; ++i) {
+      uint32_t index = 0;
+      uint32_t len = 0;
+      if (Status s = r.GetU32(&index); !s.ok()) return s;
+      if (Status s = r.GetU32(&len); !s.ok()) return s;
+      if (index >= units_.size() || units_[index].is_delta != delta) {
+        return DataLossError(delta ? "tick frame names an invalid delta unit"
+                                   : "tick frame names an invalid full unit");
+      }
+      ByteReader part;
+      if (!r.Take(len, &part).ok()) {
+        return DataLossError(delta ? "tick frame ops payload exceeds the frame"
+                                   : "tick frame unit payload exceeds the frame");
+      }
+      const Unit& unit = units_[index];
+      if (Status s = delta ? unit.apply(part) : unit.load(part); !s.ok()) {
+        return s;
+      }
+      if (Status s = part.ExpectEnd(); !s.ok()) {
         return s;
       }
     }
-    offset += len;
-  }
-  uint32_t delta_count = 0;
-  if (Status s = r.GetU32(&delta_count); !s.ok()) {
-    return s;
-  }
-  offset += 4;
-  for (uint32_t i = 0; i < delta_count; ++i) {
-    uint32_t index = 0;
-    uint32_t len = 0;
-    if (Status s = r.GetU32(&index); !s.ok()) return s;
-    if (Status s = r.GetU32(&len); !s.ok()) return s;
-    offset += 8;
-    if (index >= units_.size() || !units_[index].is_delta) {
-      return DataLossError("tick frame names an invalid delta unit");
-    }
-    if (len > r.remaining()) {
-      return DataLossError("tick frame ops payload exceeds the frame");
-    }
-    ByteReader ops_reader(buffer_.data() + offset, len);
-    if (Status s = units_[index].apply(ops_reader); !s.ok()) {
-      return s;
-    }
-    if (Status s = ops_reader.ExpectEnd(); !s.ok()) {
-      return s;
-    }
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
   }
   return r.ExpectEnd();
 }

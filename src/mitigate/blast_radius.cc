@@ -1,6 +1,7 @@
 #include "src/mitigate/blast_radius.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -77,10 +78,9 @@ void BlastRadiusLedger::RecordArtifacts(uint64_t core_global, uint64_t epoch, Ar
   corrupt_recorded_ += corrupt;
   if (log_ops_) {
     MutationOp op;
-    op.op = 0;
     op.core_global = core_global;
     op.epoch = epoch;
-    op.artifact_kind = static_cast<uint8_t>(kind);
+    op.artifact_kind = kind;
     op.produced = produced;
     op.corrupt = corrupt;
     tick_ops_.push_back(op);
@@ -94,7 +94,7 @@ void BlastRadiusLedger::NoteSignal(uint64_t core_global, SimTime time) {
     core.has_signal = true;
     if (log_ops_) {
       MutationOp op;
-      op.op = 1;
+      op.op = OpTag::kSignal;
       op.core_global = core_global;
       op.signal_seconds = time.seconds();
       tick_ops_.push_back(op);
@@ -114,10 +114,9 @@ void BlastRadiusLedger::MergeFrom(BlastRadiusLedger& other) {
             continue;
           }
           MutationOp op;
-          op.op = 0;
           op.core_global = core_global;
           op.epoch = epoch.epoch;
-          op.artifact_kind = static_cast<uint8_t>(k);
+          op.artifact_kind = static_cast<ArtifactKind>(k);
           op.produced = epoch.counts[k].produced;
           op.corrupt = epoch.counts[k].corrupt;
           tick_ops_.push_back(op);
@@ -128,7 +127,7 @@ void BlastRadiusLedger::MergeFrom(BlastRadiusLedger& other) {
         if (existing == nullptr || !existing->has_signal ||
             incoming.first_signal < existing->first_signal) {
           MutationOp op;
-          op.op = 1;
+          op.op = OpTag::kSignal;
           op.core_global = core_global;
           op.signal_seconds = incoming.first_signal.seconds();
           tick_ops_.push_back(op);
@@ -197,75 +196,60 @@ uint64_t BlastRadiusLedger::CorruptForCore(uint64_t core_global) const {
   return total;
 }
 
-void BlastRadiusLedger::DrainTickOps(ByteWriter& w) {
-  w.PutU32(static_cast<uint32_t>(tick_ops_.size()));
-  for (const MutationOp& op : tick_ops_) {
-    w.PutU8(op.op);
-    w.PutU64(op.core_global);
-    if (op.op == 0) {
-      w.PutU64(op.epoch);
-      w.PutU8(op.artifact_kind);
-      w.PutU64(op.produced);
-      w.PutU64(op.corrupt);
+template <class S, class Io>
+void BlastRadiusLedger::Wire(S& s, Io& io) {
+  io.U64(s.artifacts_recorded_, s.corrupt_recorded_);
+  io.Map(s.cores_, [&](auto& core) {
+    io.Bool(core.has_signal);
+    io.Time(core.first_signal);
+    io.Seq(core.epochs, [&](auto& epoch) {
+      io.U64(epoch.epoch);
+      for (auto& counts : epoch.counts) {
+        io.U64(counts.produced, counts.corrupt);
+      }
+    });
+  });
+}
+
+template <class Ops, class Io>
+void BlastRadiusLedger::WireOps(Ops& ops, Io& io) {
+  io.Seq(ops, [&](auto& op) {
+    io.Enum(op.op, kOpTagCount, "blast-radius op tag unrecognized");
+    io.U64(op.core_global);
+    if (op.op == OpTag::kArtifacts) {
+      io.U64(op.epoch);
+      io.Enum(op.artifact_kind, kArtifactKindCount,
+              "blast-radius op has artifact kind out of range");
+      io.U64(op.produced, op.corrupt);
+      io.Require(op.corrupt <= op.produced, "blast-radius op has corrupt > produced");
     } else {
-      w.PutI64(op.signal_seconds);
+      io.I64(op.signal_seconds);
     }
-  }
+  });
+}
+
+void BlastRadiusLedger::DrainTickOps(ByteWriter& w) {
+  WireOut out(w);
+  WireOps(std::as_const(tick_ops_), out);
   tick_ops_.clear();
 }
 
 Status BlastRadiusLedger::ApplyTickOps(ByteReader& r) {
-  uint32_t count = 0;
-  if (Status s = r.GetU32(&count); !s.ok()) {
-    return s;
+  std::vector<MutationOp> ops;
+  WireIn in(r);
+  WireOps(ops, in);
+  if (!in.ok()) {
+    return in.status();
   }
   // Replay through the normal recording paths with logging suspended, so the replayed
   // mutations are not re-logged into the next tick frame.
   const bool saved_log = log_ops_;
   log_ops_ = false;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint8_t op = 0;
-    uint64_t core_global = 0;
-    if (Status s = r.GetU8(&op); !s.ok()) {
-      log_ops_ = saved_log;
-      return s;
-    }
-    if (Status s = r.GetU64(&core_global); !s.ok()) {
-      log_ops_ = saved_log;
-      return s;
-    }
-    if (op == 0) {
-      uint64_t epoch = 0;
-      uint8_t kind = 0;
-      uint64_t produced = 0;
-      uint64_t corrupt = 0;
-      Status s = r.GetU64(&epoch);
-      if (s.ok()) s = r.GetU8(&kind);
-      if (s.ok()) s = r.GetU64(&produced);
-      if (s.ok()) s = r.GetU64(&corrupt);
-      if (!s.ok()) {
-        log_ops_ = saved_log;
-        return s;
-      }
-      if (kind >= kArtifactKindCount) {
-        log_ops_ = saved_log;
-        return DataLossError("blast-radius op has artifact kind out of range");
-      }
-      if (corrupt > produced) {
-        log_ops_ = saved_log;
-        return DataLossError("blast-radius op has corrupt > produced");
-      }
-      RecordArtifacts(core_global, epoch, static_cast<ArtifactKind>(kind), produced, corrupt);
-    } else if (op == 1) {
-      int64_t seconds = 0;
-      if (Status s = r.GetI64(&seconds); !s.ok()) {
-        log_ops_ = saved_log;
-        return s;
-      }
-      NoteSignal(core_global, SimTime::Seconds(seconds));
+  for (const MutationOp& op : ops) {
+    if (op.op == OpTag::kArtifacts) {
+      RecordArtifacts(op.core_global, op.epoch, op.artifact_kind, op.produced, op.corrupt);
     } else {
-      log_ops_ = saved_log;
-      return DataLossError("blast-radius op tag unrecognized");
+      NoteSignal(op.core_global, SimTime::Seconds(op.signal_seconds));
     }
   }
   log_ops_ = saved_log;
@@ -273,59 +257,15 @@ Status BlastRadiusLedger::ApplyTickOps(ByteReader& r) {
 }
 
 void BlastRadiusLedger::SaveDurableState(ByteWriter& w) const {
-  w.PutU64(artifacts_recorded_);
-  w.PutU64(corrupt_recorded_);
-  w.PutU32(static_cast<uint32_t>(cores_.size()));
-  for (const auto& [core_global, core] : cores_) {
-    w.PutU64(core_global);
-    w.PutBool(core.has_signal);
-    w.PutI64(core.first_signal.seconds());
-    w.PutU32(static_cast<uint32_t>(core.epochs.size()));
-    for (const EpochArtifacts& epoch : core.epochs) {
-      w.PutU64(epoch.epoch);
-      for (const ArtifactCounts& counts : epoch.counts) {
-        w.PutU64(counts.produced);
-        w.PutU64(counts.corrupt);
-      }
-    }
-  }
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status BlastRadiusLedger::LoadDurableState(ByteReader& r) {
-  uint64_t artifacts_recorded = 0;
-  uint64_t corrupt_recorded = 0;
-  uint32_t core_count = 0;
-  if (Status s = r.GetU64(&artifacts_recorded); !s.ok()) return s;
-  if (Status s = r.GetU64(&corrupt_recorded); !s.ok()) return s;
-  if (Status s = r.GetU32(&core_count); !s.ok()) return s;
-  std::map<uint64_t, CoreLedger> cores;
-  for (uint32_t i = 0; i < core_count; ++i) {
-    uint64_t core_global = 0;
-    int64_t first_signal = 0;
-    uint32_t epoch_count = 0;
-    CoreLedger core;
-    if (Status s = r.GetU64(&core_global); !s.ok()) return s;
-    if (Status s = r.GetBool(&core.has_signal); !s.ok()) return s;
-    if (Status s = r.GetI64(&first_signal); !s.ok()) return s;
-    if (Status s = r.GetU32(&epoch_count); !s.ok()) return s;
-    core.first_signal = SimTime::Seconds(first_signal);
-    core.epochs.reserve(epoch_count);
-    for (uint32_t e = 0; e < epoch_count; ++e) {
-      EpochArtifacts epoch;
-      if (Status s = r.GetU64(&epoch.epoch); !s.ok()) return s;
-      for (ArtifactCounts& counts : epoch.counts) {
-        if (Status s = r.GetU64(&counts.produced); !s.ok()) return s;
-        if (Status s = r.GetU64(&counts.corrupt); !s.ok()) return s;
-      }
-      core.epochs.push_back(epoch);
-    }
-    cores.emplace(core_global, std::move(core));
-  }
-  cores_ = std::move(cores);
-  artifacts_recorded_ = artifacts_recorded;
-  corrupt_recorded_ = corrupt_recorded;
-  tick_ops_.clear();
-  return Status::Ok();
+  return WireLoad(r, *this, [](BlastRadiusLedger& ledger, WireIn& in) {
+    Wire(ledger, in);
+    ledger.tick_ops_.clear();
+  });
 }
 
 }  // namespace mercurial

@@ -124,10 +124,11 @@ class BlastRadiusLedger {
   // delta unit: with the mutation log enabled, every recording — direct RecordArtifacts /
   // NoteSignal calls and the per-core content folded in by MergeFrom — appends a compact op.
   // DrainTickOps serializes and clears the ops accumulated since the last drain (one journal
-  // tick frame's worth); ApplyTickOps replays them through the normal recording paths, so a
-  // recovered ledger is bit-identical. Snapshots use the full round trip: the map is already
-  // key-sorted, so the bytes are deterministic. Serialize assumes the op buffer was drained at
-  // the preceding tick boundary.
+  // tick frame's worth); ApplyTickOps decodes the whole op list, then replays it through the
+  // normal recording paths, so a recovered ledger is bit-identical and a clipped op list
+  // changes nothing. Snapshots use the full round trip: the map is already key-sorted, so the
+  // bytes are deterministic. Serialize assumes the op buffer was drained at the preceding tick
+  // boundary.
   void EnableMutationLog(bool enabled) { log_ops_ = enabled; }
   bool HasTickOps() const { return !tick_ops_.empty(); }
   void DrainTickOps(ByteWriter& w);
@@ -136,15 +137,25 @@ class BlastRadiusLedger {
   Status LoadDurableState(ByteReader& r);
 
  private:
+  enum class OpTag : uint8_t { kArtifacts = 0, kSignal = 1 };
+  static constexpr size_t kOpTagCount = 2;
+
   struct MutationOp {
-    uint8_t op = 0;  // 0 = artifacts, 1 = signal
+    OpTag op = OpTag::kArtifacts;
     uint64_t core_global = 0;
-    uint64_t epoch = 0;          // artifacts op
-    uint8_t artifact_kind = 0;   // artifacts op
-    uint64_t produced = 0;       // artifacts op
-    uint64_t corrupt = 0;        // artifacts op
-    int64_t signal_seconds = 0;  // signal op
+    // kArtifacts
+    uint64_t epoch = 0;
+    ArtifactKind artifact_kind = ArtifactKind::kChecksummedWrite;
+    uint64_t produced = 0;
+    uint64_t corrupt = 0;
+    // kSignal
+    int64_t signal_seconds = 0;
   };
+
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
+  template <class Ops, class Io>
+  static void WireOps(Ops& ops, Io& io);
 
   std::map<uint64_t, CoreLedger> cores_;
   uint64_t artifacts_recorded_ = 0;

@@ -1,6 +1,7 @@
 #include "src/mitigate/checkpoint.h"
 
 #include "src/common/logging.h"
+#include "src/common/wire.h"
 #include "src/substrate/checksum.h"
 
 namespace mercurial {
@@ -9,32 +10,17 @@ namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x4d434b50;  // "MCKP"
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+// Everything the frame's CRC covers.
+struct CheckpointBody {
+  uint32_t magic = 0;
+  ProvenanceTag provenance;
+  uint64_t state = 0;
+};
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+template <class S, class Io>
+void WireCheckpointBody(S& body, Io& io) {
+  io.U32(body.magic);
+  io.U64(body.provenance.core_global, body.provenance.epoch, body.state);
 }
 
 }  // namespace
@@ -42,11 +28,11 @@ uint64_t GetU64(const uint8_t* p) {
 std::vector<uint8_t> SerializeCheckpoint(uint64_t state, const ProvenanceTag& provenance) {
   std::vector<uint8_t> out;
   out.reserve(kCheckpointFrameBytes);
-  PutU32(out, kCheckpointMagic);
-  PutU64(out, provenance.core_global);
-  PutU64(out, provenance.epoch);
-  PutU64(out, state);
-  PutU32(out, Crc32(out.data(), out.size()));
+  ByteWriter w(out);
+  WireOut io(w);
+  const CheckpointBody body{kCheckpointMagic, provenance, state};
+  WireCheckpointBody(body, io);
+  w.PutU32(Crc32(out.data(), out.size()));
   return out;
 }
 
@@ -55,18 +41,23 @@ StatusOr<uint64_t> RestoreCheckpoint(const std::vector<uint8_t>& bytes,
   if (bytes.size() != kCheckpointFrameBytes) {
     return DataLossError("checkpoint frame truncated or oversized");
   }
-  if (GetU32(bytes.data()) != kCheckpointMagic) {
+  ByteReader r(bytes.data(), bytes.size());
+  WireIn io(r);
+  CheckpointBody body;
+  uint32_t stored_crc = 0;
+  WireCheckpointBody(body, io);
+  io.U32(stored_crc);
+  MERCURIAL_CHECK(io.ok()) << "the size check covers every field";
+  if (body.magic != kCheckpointMagic) {
     return DataLossError("checkpoint frame has bad magic");
   }
-  const uint32_t stored_crc = GetU32(bytes.data() + kCheckpointFrameBytes - 4);
   if (Crc32(bytes.data(), kCheckpointFrameBytes - 4) != stored_crc) {
     return DataLossError("checkpoint frame failed integrity check");
   }
   if (provenance != nullptr) {
-    provenance->core_global = GetU64(bytes.data() + 4);
-    provenance->epoch = GetU64(bytes.data() + 12);
+    *provenance = body.provenance;
   }
-  return GetU64(bytes.data() + 20);
+  return body.state;
 }
 
 CheckpointRunner::CheckpointRunner(std::vector<SimCore*> pool) : pool_(std::move(pool)) {

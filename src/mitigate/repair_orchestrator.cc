@@ -82,7 +82,7 @@ void RepairOrchestrator::OnConviction(SimTime now, uint64_t core_global,
   const uint64_t epoch_lo =
       static_cast<uint64_t>(onset.seconds() / options_.epoch_length.seconds());
 
-  std::unordered_set<uint64_t>& swept = enqueued_epochs_[core_global];
+  std::set<uint64_t>& swept = enqueued_epochs_[core_global];
   for (const BlastRadiusLedger::EpochArtifacts& epoch : record->epochs) {
     if (epoch.epoch < epoch_lo || epoch.produced() == 0) {
       continue;  // outside the suspect window; any corruption there stays at rest
@@ -400,149 +400,33 @@ void RepairOrchestrator::FinalizeAccounting(const BlastRadiusLedger& ledger) {
   stats_.corruptions_still_at_rest = ledger.corrupt_recorded() - classified;
 }
 
+template <class S, class Io>
+void RepairOrchestrator::Wire(S& s, Io& io) {
+  io.RngCursor(s.rng_);
+  WireRepairStats(s.stats_, io);
+  io.U64(s.backlog_artifacts_);
+  io.Seq(s.tasks_, [&](auto& task) {
+    io.U64(task.core_global, task.epoch);
+    for (auto& counts : task.remaining) {
+      io.U64(counts.produced, counts.corrupt);
+      io.Require(counts.corrupt <= counts.produced, "repair task has corrupt > produced");
+    }
+    io.Int(task.attempts);
+    io.Time(task.next_attempt);
+  });
+  io.Map(s.enqueued_epochs_, [&](auto& epochs) {
+    io.Seq(epochs, [&](auto& epoch) { io.U64(epoch); });
+  });
+  io.Durable(s.chaos_);
+}
+
 void RepairOrchestrator::SaveDurableState(ByteWriter& w) const {
-  uint64_t rng_state[Rng::kStateWords];
-  rng_.SaveState(rng_state);
-  for (uint64_t word : rng_state) {
-    w.PutU64(word);
-  }
-  w.PutU64(stats_.convictions);
-  w.PutU64(stats_.suspect_epochs);
-  w.PutU64(stats_.suspect_artifacts);
-  w.PutU64(stats_.artifacts_reverified);
-  w.PutU64(stats_.artifacts_reexecuted);
-  w.PutU64(stats_.repair_ops);
-  w.PutU64(stats_.retries_scheduled);
-  w.PutU64(stats_.defective_executor_retries);
-  w.PutU64(stats_.tasks_abandoned);
-  w.PutU64(stats_.epochs_shed);
-  w.PutU64(stats_.artifacts_shed);
-  w.PutU64(stats_.reinstated_epochs_cancelled);
-  w.PutU64(stats_.reinstated_artifacts_cancelled);
-  w.PutU64(stats_.backlog_peak);
-  w.PutU64(stats_.corruptions_found);
-  w.PutU64(stats_.corruptions_repaired);
-  w.PutU64(stats_.corruptions_shed);
-  w.PutU64(stats_.corruptions_missed);
-  w.PutU64(stats_.corruptions_abandoned);
-  w.PutU64(stats_.corruptions_still_at_rest);
-  SaveChaosStatsWire(w, stats_.chaos);
-  w.PutU64(backlog_artifacts_);
-  w.PutU32(static_cast<uint32_t>(tasks_.size()));
-  for (const Task& task : tasks_) {
-    w.PutU64(task.core_global);
-    w.PutU64(task.epoch);
-    for (const ArtifactCounts& counts : task.remaining) {
-      w.PutU64(counts.produced);
-      w.PutU64(counts.corrupt);
-    }
-    w.PutI64(task.attempts);
-    w.PutI64(task.next_attempt.seconds());
-  }
-  std::vector<uint64_t> cores;
-  cores.reserve(enqueued_epochs_.size());
-  for (const auto& [core, epochs] : enqueued_epochs_) {
-    cores.push_back(core);
-  }
-  std::sort(cores.begin(), cores.end());
-  w.PutU32(static_cast<uint32_t>(cores.size()));
-  for (uint64_t core : cores) {
-    const std::unordered_set<uint64_t>& epoch_set = enqueued_epochs_.at(core);
-    std::vector<uint64_t> epochs(epoch_set.begin(), epoch_set.end());
-    std::sort(epochs.begin(), epochs.end());
-    w.PutU64(core);
-    w.PutU32(static_cast<uint32_t>(epochs.size()));
-    for (uint64_t epoch : epochs) {
-      w.PutU64(epoch);
-    }
-  }
-  chaos_.SaveDurableState(w);
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status RepairOrchestrator::LoadDurableState(ByteReader& r) {
-  uint64_t rng_state[Rng::kStateWords];
-  for (uint64_t& word : rng_state) {
-    if (Status s = r.GetU64(&word); !s.ok()) {
-      return s;
-    }
-  }
-  RepairStats stats;
-  if (Status s = r.GetU64(&stats.convictions); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.suspect_epochs); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.suspect_artifacts); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.artifacts_reverified); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.artifacts_reexecuted); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.repair_ops); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.retries_scheduled); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.defective_executor_retries); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.tasks_abandoned); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.epochs_shed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.artifacts_shed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.reinstated_epochs_cancelled); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.reinstated_artifacts_cancelled); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.backlog_peak); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_found); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_repaired); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_shed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_missed); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_abandoned); !s.ok()) return s;
-  if (Status s = r.GetU64(&stats.corruptions_still_at_rest); !s.ok()) return s;
-  if (Status s = LoadChaosStatsWire(r, &stats.chaos); !s.ok()) return s;
-  uint64_t backlog = 0;
-  if (Status s = r.GetU64(&backlog); !s.ok()) {
-    return s;
-  }
-  uint32_t task_count = 0;
-  if (Status s = r.GetU32(&task_count); !s.ok()) {
-    return s;
-  }
-  std::vector<Task> tasks;
-  tasks.reserve(task_count);
-  for (uint32_t i = 0; i < task_count; ++i) {
-    Task task;
-    int64_t attempts = 0;
-    int64_t next_attempt = 0;
-    if (Status s = r.GetU64(&task.core_global); !s.ok()) return s;
-    if (Status s = r.GetU64(&task.epoch); !s.ok()) return s;
-    for (ArtifactCounts& counts : task.remaining) {
-      if (Status s = r.GetU64(&counts.produced); !s.ok()) return s;
-      if (Status s = r.GetU64(&counts.corrupt); !s.ok()) return s;
-      if (counts.corrupt > counts.produced) {
-        return DataLossError("repair task has corrupt > produced");
-      }
-    }
-    if (Status s = r.GetI64(&attempts); !s.ok()) return s;
-    if (Status s = r.GetI64(&next_attempt); !s.ok()) return s;
-    task.attempts = static_cast<int>(attempts);
-    task.next_attempt = SimTime::Seconds(next_attempt);
-    tasks.push_back(task);
-  }
-  uint32_t core_count = 0;
-  if (Status s = r.GetU32(&core_count); !s.ok()) {
-    return s;
-  }
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> enqueued;
-  for (uint32_t i = 0; i < core_count; ++i) {
-    uint64_t core = 0;
-    uint32_t epoch_count = 0;
-    if (Status s = r.GetU64(&core); !s.ok()) return s;
-    if (Status s = r.GetU32(&epoch_count); !s.ok()) return s;
-    std::unordered_set<uint64_t>& epochs = enqueued[core];
-    for (uint32_t e = 0; e < epoch_count; ++e) {
-      uint64_t epoch = 0;
-      if (Status s = r.GetU64(&epoch); !s.ok()) return s;
-      epochs.insert(epoch);
-    }
-  }
-  if (Status s = chaos_.LoadDurableState(r); !s.ok()) {
-    return s;
-  }
-  rng_.RestoreState(rng_state);
-  stats_ = stats;
-  backlog_artifacts_ = backlog;
-  tasks_ = std::move(tasks);
-  enqueued_epochs_ = std::move(enqueued);
-  return Status::Ok();
+  return WireLoad(r, *this, [](RepairOrchestrator& o, WireIn& in) { Wire(o, in); });
 }
 
 }  // namespace mercurial

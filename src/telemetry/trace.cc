@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 
+#include "src/common/logging.h"
 #include "src/substrate/checksum.h"
 
 namespace mercurial {
@@ -17,32 +19,19 @@ constexpr uint32_t kTraceVersion = 1;
 constexpr size_t kTraceHeaderBytes = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
 constexpr size_t kTraceEventBytes = 8 + 8 + 8 + 1 + 1 + 8;
 
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+struct TraceFrameHeader {
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint32_t shards = 0;
+  uint64_t event_count = 0;
+  TraceCounters counters;
+};
 
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
+template <class S, class Io>
+void WireTraceFrameHeader(S& header, Io& io) {
+  io.U32(header.magic, header.version, header.shards);
+  io.U64(header.event_count);
+  WireTraceCounters(header.counters, io);
 }
 
 void AppendJsonEscaped(std::string& out, const char* s) {
@@ -174,16 +163,23 @@ void TraceRecorder::Emit(uint64_t core, TraceEventKind kind, TraceCause cause, u
   if (log_ops_) {
     ring.tick_log.push_back(event);
   }
+  // An overwrite is loud loss: recorded stays flat, dropped counts up, and the conservation
+  // invariant dropped + recorded == emitted keeps holding.
+  if (Insert(ring, event)) {
+    ++ring.counters.events_dropped;
+  } else {
+    ++ring.counters.events_recorded;
+  }
+}
+
+bool TraceRecorder::Insert(ShardRing& ring, const TraceEvent& event) {
   if (ring.slots.size() < options_.ring_capacity) {
     ring.slots.push_back(event);
-    ++ring.counters.events_recorded;
-  } else {
-    // Overwrite the oldest event. Loud loss: recorded stays flat, dropped counts up, and the
-    // conservation invariant dropped + recorded == emitted keeps holding.
-    ring.slots[ring.head] = event;
-    ring.head = (ring.head + 1) % options_.ring_capacity;
-    ++ring.counters.events_dropped;
+    return false;
   }
+  ring.slots[ring.head] = event;
+  ring.head = (ring.head + 1) % options_.ring_capacity;
+  return true;
 }
 
 TraceCounters TraceRecorder::Totals() const {
@@ -220,53 +216,6 @@ IncidentTrace TraceRecorder::Assemble() const {
   return trace;
 }
 
-namespace {
-
-void PutTraceEventWire(ByteWriter& w, const TraceEvent& event) {
-  w.PutI64(event.time_seconds);
-  w.PutU64(event.core);
-  w.PutU64(event.epoch);
-  w.PutU8(static_cast<uint8_t>(event.kind));
-  w.PutU8(static_cast<uint8_t>(event.cause));
-  w.PutU64(event.detail);
-}
-
-Status GetTraceEventWire(ByteReader& r, TraceEvent* event) {
-  uint8_t kind = 0;
-  uint8_t cause = 0;
-  if (Status s = r.GetI64(&event->time_seconds); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->core); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->epoch); !s.ok()) return s;
-  if (Status s = r.GetU8(&kind); !s.ok()) return s;
-  if (Status s = r.GetU8(&cause); !s.ok()) return s;
-  if (Status s = r.GetU64(&event->detail); !s.ok()) return s;
-  if (kind >= kTraceEventKindCount) {
-    return DataLossError("trace event kind out of range");
-  }
-  if (cause >= kTraceCauseCount) {
-    return DataLossError("trace event cause out of range");
-  }
-  event->kind = static_cast<TraceEventKind>(kind);
-  event->cause = static_cast<TraceCause>(cause);
-  return Status::Ok();
-}
-
-void PutTraceCountersWire(ByteWriter& w, const TraceCounters& counters) {
-  w.PutU64(counters.events_emitted);
-  w.PutU64(counters.events_recorded);
-  w.PutU64(counters.events_dropped);
-  w.PutU64(counters.events_sampled_out);
-}
-
-Status GetTraceCountersWire(ByteReader& r, TraceCounters* counters) {
-  if (Status s = r.GetU64(&counters->events_emitted); !s.ok()) return s;
-  if (Status s = r.GetU64(&counters->events_recorded); !s.ok()) return s;
-  if (Status s = r.GetU64(&counters->events_dropped); !s.ok()) return s;
-  return r.GetU64(&counters->events_sampled_out);
-}
-
-}  // namespace
-
 bool TraceRecorder::HasTickOps() const {
   for (const ShardRing& ring : rings_) {
     if (ring.tick_dirty) {
@@ -276,69 +225,71 @@ bool TraceRecorder::HasTickOps() const {
   return false;
 }
 
-void TraceRecorder::DrainTickOps(ByteWriter& w) {
-  uint32_t dirty = 0;
-  for (const ShardRing& ring : rings_) {
-    if (ring.tick_dirty) {
-      ++dirty;
+template <class S, class Io>
+void TraceRecorder::Wire(S& s, Io& io) {
+  uint32_t shard_count = static_cast<uint32_t>(s.rings_.size());
+  io.U32(shard_count);
+  io.Require(shard_count == s.rings_.size(),
+             "trace snapshot shard count does not match the recorder");
+  for (auto& ring : s.rings_) {
+    io.U64(ring.head);
+    io.Seq(ring.slots, [&](auto& event) { WireTraceEvent(event, io); });
+    io.Require(ring.slots.size() <= s.options_.ring_capacity,
+               "trace snapshot ring exceeds ring_capacity");
+    io.Require(ring.head < ring.slots.size() || (ring.head == 0 && ring.slots.empty()),
+               "trace snapshot ring head out of range");
+    for (auto& seen : ring.seen) {
+      io.U64(seen);
     }
+    WireTraceCounters(ring.counters, io);
   }
-  w.PutU32(dirty);
+}
+
+template <class Deltas, class Io>
+void TraceRecorder::WireDeltas(Deltas& deltas, size_t shards, Io& io) {
+  io.Seq(deltas, [&](auto& delta) {
+    io.U32(delta.shard);
+    io.Require(delta.shard < shards, "trace tick delta names a shard out of range");
+    io.Seq(delta.inserted, [&](auto& event) { WireTraceEvent(event, io); });
+    // Absolutes, not deltas: replay overwrites these after applying the inserts, so a
+    // recovered ring's sampling phase and conservation counters match exactly.
+    for (auto& seen : delta.seen) {
+      io.U64(seen);
+    }
+    WireTraceCounters(delta.counters, io);
+  });
+}
+
+void TraceRecorder::DrainTickOps(ByteWriter& w) {
+  std::vector<RingDelta> deltas;
   for (size_t shard = 0; shard < rings_.size(); ++shard) {
     ShardRing& ring = rings_[shard];
     if (!ring.tick_dirty) {
       continue;
     }
-    w.PutU32(static_cast<uint32_t>(shard));
-    w.PutU32(static_cast<uint32_t>(ring.tick_log.size()));
-    for (const TraceEvent& event : ring.tick_log) {
-      PutTraceEventWire(w, event);
-    }
-    // Absolutes, not deltas: replay overwrites these after applying the inserts, so a
-    // recovered ring's sampling phase and conservation counters match exactly.
-    for (uint64_t seen : ring.seen) {
-      w.PutU64(seen);
-    }
-    PutTraceCountersWire(w, ring.counters);
+    deltas.push_back(RingDelta{static_cast<uint32_t>(shard), std::move(ring.tick_log),
+                               ring.seen, ring.counters});
     ring.tick_log.clear();
     ring.tick_dirty = false;
   }
+  WireOut out(w);
+  WireDeltas(std::as_const(deltas), rings_.size(), out);
 }
 
 Status TraceRecorder::ApplyTickOps(ByteReader& r) {
-  uint32_t dirty = 0;
-  if (Status s = r.GetU32(&dirty); !s.ok()) {
-    return s;
+  std::vector<RingDelta> deltas;
+  WireIn in(r);
+  WireDeltas(deltas, rings_.size(), in);
+  if (!in.ok()) {
+    return in.status();
   }
-  for (uint32_t i = 0; i < dirty; ++i) {
-    uint32_t shard = 0;
-    uint32_t inserted = 0;
-    if (Status s = r.GetU32(&shard); !s.ok()) return s;
-    if (shard >= rings_.size()) {
-      return DataLossError("trace tick delta names a shard out of range");
+  for (const RingDelta& delta : deltas) {
+    ShardRing& ring = rings_[delta.shard];
+    for (const TraceEvent& event : delta.inserted) {
+      Insert(ring, event);
     }
-    if (Status s = r.GetU32(&inserted); !s.ok()) return s;
-    ShardRing& ring = rings_[shard];
-    for (uint32_t e = 0; e < inserted; ++e) {
-      TraceEvent event;
-      if (Status s = GetTraceEventWire(r, &event); !s.ok()) {
-        return s;
-      }
-      if (ring.slots.size() < options_.ring_capacity) {
-        ring.slots.push_back(event);
-      } else {
-        ring.slots[ring.head] = event;
-        ring.head = (ring.head + 1) % options_.ring_capacity;
-      }
-    }
-    for (uint64_t& seen : ring.seen) {
-      if (Status s = r.GetU64(&seen); !s.ok()) {
-        return s;
-      }
-    }
-    if (Status s = GetTraceCountersWire(r, &ring.counters); !s.ok()) {
-      return s;
-    }
+    ring.seen = delta.seen;
+    ring.counters = delta.counters;
     ring.tick_log.clear();
     ring.tick_dirty = false;
   }
@@ -346,82 +297,32 @@ Status TraceRecorder::ApplyTickOps(ByteReader& r) {
 }
 
 void TraceRecorder::SaveDurableState(ByteWriter& w) const {
-  w.PutU32(static_cast<uint32_t>(rings_.size()));
-  for (const ShardRing& ring : rings_) {
-    w.PutU64(static_cast<uint64_t>(ring.head));
-    w.PutU32(static_cast<uint32_t>(ring.slots.size()));
-    for (const TraceEvent& event : ring.slots) {
-      PutTraceEventWire(w, event);
-    }
-    for (uint64_t seen : ring.seen) {
-      w.PutU64(seen);
-    }
-    PutTraceCountersWire(w, ring.counters);
-  }
+  WireOut out(w);
+  Wire(*this, out);
 }
 
 Status TraceRecorder::LoadDurableState(ByteReader& r) {
-  uint32_t shard_count = 0;
-  if (Status s = r.GetU32(&shard_count); !s.ok()) {
-    return s;
-  }
-  if (shard_count != rings_.size()) {
-    return DataLossError("trace snapshot shard count does not match the recorder");
-  }
-  std::vector<ShardRing> rings(rings_.size());
-  for (ShardRing& ring : rings) {
-    uint64_t head = 0;
-    uint32_t slot_count = 0;
-    if (Status s = r.GetU64(&head); !s.ok()) return s;
-    if (Status s = r.GetU32(&slot_count); !s.ok()) return s;
-    if (slot_count > options_.ring_capacity) {
-      return DataLossError("trace snapshot ring exceeds ring_capacity");
+  return WireLoad(r, *this, [](TraceRecorder& recorder, WireIn& in) {
+    Wire(recorder, in);
+    for (ShardRing& ring : recorder.rings_) {
+      ring.tick_log.clear();
+      ring.tick_dirty = false;
     }
-    if (head >= slot_count && !(head == 0 && slot_count == 0)) {
-      return DataLossError("trace snapshot ring head out of range");
-    }
-    ring.head = static_cast<size_t>(head);
-    ring.slots.reserve(slot_count);
-    for (uint32_t e = 0; e < slot_count; ++e) {
-      TraceEvent event;
-      if (Status s = GetTraceEventWire(r, &event); !s.ok()) {
-        return s;
-      }
-      ring.slots.push_back(event);
-    }
-    for (uint64_t& seen : ring.seen) {
-      if (Status s = r.GetU64(&seen); !s.ok()) {
-        return s;
-      }
-    }
-    if (Status s = GetTraceCountersWire(r, &ring.counters); !s.ok()) {
-      return s;
-    }
-  }
-  rings_ = std::move(rings);
-  return Status::Ok();
+  });
 }
 
 std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace) {
   std::vector<uint8_t> out;
   out.reserve(kTraceHeaderBytes + trace.events.size() * kTraceEventBytes + 4);
-  PutU32(out, kTraceMagic);
-  PutU32(out, kTraceVersion);
-  PutU32(out, trace.shards);
-  PutU64(out, trace.events.size());
-  PutU64(out, trace.counters.events_emitted);
-  PutU64(out, trace.counters.events_recorded);
-  PutU64(out, trace.counters.events_dropped);
-  PutU64(out, trace.counters.events_sampled_out);
+  ByteWriter w(out);
+  WireOut io(w);
+  const TraceFrameHeader header{kTraceMagic, kTraceVersion, trace.shards, trace.events.size(),
+                                trace.counters};
+  WireTraceFrameHeader(header, io);
   for (const TraceEvent& event : trace.events) {
-    PutU64(out, static_cast<uint64_t>(event.time_seconds));
-    PutU64(out, event.core);
-    PutU64(out, event.epoch);
-    out.push_back(static_cast<uint8_t>(event.kind));
-    out.push_back(static_cast<uint8_t>(event.cause));
-    PutU64(out, event.detail);
+    WireTraceEvent(event, io);
   }
-  PutU32(out, Crc32(out.data(), out.size()));
+  w.PutU32(Crc32(out.data(), out.size()));
   return out;
 }
 
@@ -429,51 +330,41 @@ StatusOr<IncidentTrace> ParseTrace(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < kTraceHeaderBytes + 4) {
     return DataLossError("trace frame truncated: shorter than header + checksum");
   }
-  const uint8_t* p = bytes.data();
-  if (GetU32(p) != kTraceMagic) {
+  // The body reader stops at the CRC; the size check below ties its length to the header.
+  ByteReader body(bytes.data(), bytes.size() - 4);
+  WireIn io(body);
+  TraceFrameHeader header;
+  WireTraceFrameHeader(header, io);
+  if (header.magic != kTraceMagic) {
     return DataLossError("trace frame corrupt: bad magic");
   }
-  if (GetU32(p + 4) != kTraceVersion) {
+  if (header.version != kTraceVersion) {
     return DataLossError("trace frame corrupt: unsupported version");
   }
-  const uint64_t event_count = GetU64(p + 12);
   const uint64_t max_events =
       (std::numeric_limits<size_t>::max() - kTraceHeaderBytes - 4) / kTraceEventBytes;
-  if (event_count > max_events) {
+  if (header.event_count > max_events) {
     return DataLossError("trace frame corrupt: implausible event count");
   }
-  const size_t expected =
-      kTraceHeaderBytes + static_cast<size_t>(event_count) * kTraceEventBytes + 4;
-  if (bytes.size() != expected) {
+  const size_t event_count = static_cast<size_t>(header.event_count);
+  if (bytes.size() != kTraceHeaderBytes + event_count * kTraceEventBytes + 4) {
     return DataLossError("trace frame corrupt: size does not match event count");
   }
-  const uint32_t stored_crc = GetU32(p + bytes.size() - 4);
-  if (Crc32(p, bytes.size() - 4) != stored_crc) {
+  ByteReader crc_reader(bytes.data() + bytes.size() - 4, 4);
+  uint32_t stored_crc = 0;
+  MERCURIAL_CHECK(crc_reader.GetU32(&stored_crc).ok());
+  if (Crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
     return DataLossError("trace frame corrupt: checksum mismatch");
   }
-
   IncidentTrace trace;
-  trace.shards = GetU32(p + 8);
-  trace.counters.events_emitted = GetU64(p + 20);
-  trace.counters.events_recorded = GetU64(p + 28);
-  trace.counters.events_dropped = GetU64(p + 36);
-  trace.counters.events_sampled_out = GetU64(p + 44);
-  trace.events.reserve(static_cast<size_t>(event_count));
-  const uint8_t* q = p + kTraceHeaderBytes;
-  for (uint64_t i = 0; i < event_count; ++i, q += kTraceEventBytes) {
-    TraceEvent event;
-    event.time_seconds = static_cast<int64_t>(GetU64(q));
-    event.core = GetU64(q + 8);
-    event.epoch = GetU64(q + 16);
-    const uint8_t kind = q[24];
-    const uint8_t cause = q[25];
-    if (kind >= kTraceEventKindCount || cause >= kTraceCauseCount) {
-      return DataLossError("trace frame corrupt: unknown event kind or cause");
-    }
-    event.kind = static_cast<TraceEventKind>(kind);
-    event.cause = static_cast<TraceCause>(cause);
-    event.detail = GetU64(q + 26);
-    trace.events.push_back(event);
+  trace.shards = header.shards;
+  trace.counters = header.counters;
+  trace.events.resize(event_count);
+  for (TraceEvent& event : trace.events) {
+    WireTraceEvent(event, io);
+  }
+  if (!io.ok()) {
+    return io.status();
   }
   return trace;
 }

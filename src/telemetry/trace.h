@@ -134,6 +134,17 @@ struct TraceEvent {
   bool operator==(const TraceEvent&) const = default;
 };
 
+// Field list of one TraceEvent (wire.h): 34 bytes, shared by the trace frame, the recorder's
+// snapshots and its ring deltas.
+template <class S, class Io>
+void WireTraceEvent(S& e, Io& io) {
+  io.I64(e.time_seconds);
+  io.U64(e.core, e.epoch);
+  io.Enum(e.kind, kTraceEventKindCount, "trace event kind out of range");
+  io.Enum(e.cause, kTraceCauseCount, "trace event cause out of range");
+  io.U64(e.detail);
+}
+
 // Recorder configuration, part of StudyOptions. Disabled by default: a null recorder costs
 // one branch on the rare emit paths and nothing on the hot dispatch loop.
 struct TraceOptions {
@@ -165,6 +176,12 @@ struct TraceCounters {
 
   bool operator==(const TraceCounters&) const = default;
 };
+
+// Field list of a TraceCounters block (wire.h).
+template <class S, class Io>
+void WireTraceCounters(S& s, Io& io) {
+  io.U64(s.events_emitted, s.events_recorded, s.events_dropped, s.events_sampled_out);
+}
 
 // The assembled, shard-merged trace: events ordered by (time, owning shard, ring order).
 struct IncidentTrace {
@@ -208,10 +225,10 @@ class TraceRecorder {
   // logs the events it actually inserted (push or overwrite) plus a dirty flag covering every
   // Emit — sampled-out events move seen[]/counters too. DrainTickOps serializes the dirty
   // rings (inserted events + absolute seen[] and counters) and clears the logs; ApplyTickOps
-  // replays the inserts mechanically and overwrites the absolutes, so a recovered recorder's
-  // Assemble() is bit-identical. Snapshots round-trip the full ring contents. Logging follows
-  // the same shard-confinement contract as Emit. Tick context is per-tick wiring
-  // (SetTickContext), never persisted.
+  // decodes the whole delta, then replays the inserts mechanically and overwrites the
+  // absolutes, so a recovered recorder's Assemble() is bit-identical. Snapshots round-trip the
+  // full ring contents. Logging follows the same shard-confinement contract as Emit. Tick
+  // context is per-tick wiring (SetTickContext), never persisted.
   void EnableMutationLog(bool enabled) { log_ops_ = enabled; }
   bool HasTickOps() const;
   void DrainTickOps(ByteWriter& w);
@@ -229,6 +246,23 @@ class TraceRecorder {
     bool tick_dirty = false;           // any Emit touched this ring since the last drain
   };
 
+  // One dirty ring in a tick delta: the events it inserted plus its absolute sampling phase
+  // and counters.
+  struct RingDelta {
+    uint32_t shard = 0;
+    std::vector<TraceEvent> inserted;
+    std::array<uint64_t, kTraceEventKindCount> seen{};
+    TraceCounters counters;
+  };
+
+  template <class S, class Io>
+  static void Wire(S& s, Io& io);
+  template <class Deltas, class Io>
+  static void WireDeltas(Deltas& deltas, size_t shards, Io& io);
+  // Appends one event to `ring`, overwriting its oldest slot once it holds ring_capacity.
+  // Returns true if an event was overwritten.
+  bool Insert(ShardRing& ring, const TraceEvent& event);
+
   TraceOptions options_;
   size_t cores_per_shard_ = 1;
   std::vector<ShardRing> rings_;
@@ -237,9 +271,10 @@ class TraceRecorder {
   bool log_ops_ = false;
 };
 
-// CRC32-framed binary codec. Any single-bit flip, truncation, or trailing garbage in the
-// serialized form fails ParseTrace with StatusCode::kDataLoss — mirrored after the checkpoint
-// framing in src/mitigate/checkpoint.{h,cc}.
+// CRC32-framed binary codec on wire.h's ByteWriter/ByteReader, events through
+// WireTraceEvent. Any single-bit flip, truncation, or trailing garbage in the serialized form
+// fails ParseTrace with StatusCode::kDataLoss, like the checkpoint frame
+// (src/mitigate/checkpoint.h).
 std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace);
 StatusOr<IncidentTrace> ParseTrace(const std::vector<uint8_t>& bytes);
 

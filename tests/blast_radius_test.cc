@@ -2,6 +2,9 @@
 // orchestrator (budgeting, retries, shedding, conservation), and the audited fleet study
 // end to end under repair-path chaos.
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -9,6 +12,7 @@
 #include "src/core/fleet_study.h"
 #include "src/mitigate/blast_radius.h"
 #include "src/mitigate/repair_orchestrator.h"
+#include "tests/durable_codec.h"
 
 namespace mercurial {
 namespace {
@@ -65,6 +69,35 @@ TEST(BlastRadiusLedgerTest, MergeFoldsAndClearsTheSource) {
   EXPECT_TRUE(main.Find(2)->has_signal);
   EXPECT_EQ(shard.artifacts_recorded(), 0u);
   EXPECT_EQ(shard.Find(2), nullptr);
+}
+
+// The ledger's journal codec: the full round trip, and the op log a tick frame carries —
+// direct recordings plus the ops MergeFrom logs for a shard ledger's content.
+TEST(BlastRadiusLedgerTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  BlastRadiusLedger ledger;
+  ledger.EnableMutationLog(true);
+  ledger.RecordArtifacts(7, 0, ArtifactKind::kChecksummedWrite, 10, 1);
+  ledger.RecordArtifacts(7, 2, ArtifactKind::kLogEpoch, 4, 0);
+  ledger.RecordArtifacts(9, 2, ArtifactKind::kCheckpoint, 1, 1);
+  ledger.NoteSignal(9, SimTime::Days(2));
+  std::vector<uint8_t> drained;
+  ByteWriter drain_writer(drained);
+  ledger.DrainTickOps(drain_writer);  // a tick boundary
+  const BlastRadiusLedger before = ledger;
+
+  ledger.RecordArtifacts(7, 3, ArtifactKind::kPlainOutput, 3, 2);
+  ledger.NoteSignal(7, SimTime::Days(3));
+  BlastRadiusLedger shard;
+  shard.RecordArtifacts(11, 3, ArtifactKind::kLogEpoch, 6, 1);
+  shard.NoteSignal(11, SimTime::Days(3));
+  ledger.MergeFrom(shard);
+  ASSERT_TRUE(ledger.HasTickOps());
+  std::vector<uint8_t> ops;
+  ByteWriter ops_writer(ops);
+  ledger.DrainTickOps(ops_writer);
+
+  ExpectDurableCodecContract(ledger, BlastRadiusLedger{});
+  ExpectTickOpsContract(before, ledger, ops);
 }
 
 TEST(BlastRadiusLedgerTest, WorkloadToArtifactKindMapping) {
@@ -318,6 +351,31 @@ TEST(RepairOrchestratorTest, ReinstatementCancelsQueuedRepairWork) {
   inert.OnReinstated(7);
   EXPECT_EQ(inert.stats().reinstated_epochs_cancelled, 0u);
   EXPECT_EQ(inert.stats().reinstated_artifacts_cancelled, 0u);
+}
+
+// The orchestrator's journal codec, mid-repair: queued tasks with attempts behind them, the
+// once-ever enqueue books of two convicted cores, and repair-path chaos counters.
+TEST(RepairOrchestratorTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  BlastRadiusLedger ledger;
+  for (uint64_t epoch = 0; epoch < 6; ++epoch) {
+    ledger.RecordArtifacts(8, epoch, ArtifactKind::kChecksummedWrite, 10, 2);
+    ledger.RecordArtifacts(3, epoch, ArtifactKind::kPlainOutput, 5, 1);
+  }
+  ledger.NoteSignal(8, SimTime::Days(2));
+  RepairOptions options = BaseRepairOptions();
+  options.repair_budget_per_tick = 12;
+  options.chaos.repair_partial = 0.5;
+  options.chaos.repair_fail_reverify = 0.2;
+  RepairOrchestrator repair(options, Rng(5));
+  DefectivePool(repair);
+  repair.OnConviction(SimTime::Days(6), 8, ledger);
+  repair.OnConviction(SimTime::Days(6), 3, ledger);
+  repair.Tick(SimTime::Days(6));
+  repair.Tick(SimTime::Days(7));
+  ASSERT_GT(repair.queued_tasks(), 0u);
+  ASSERT_GT(repair.stats().retries_scheduled, 0u);
+
+  ExpectDurableCodecContract(repair, RepairOrchestrator(options, Rng(5)));
 }
 
 // --- Audited fleet study under repair chaos ---------------------------------------------------

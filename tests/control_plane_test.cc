@@ -27,6 +27,7 @@
 #include "src/detect/screening.h"
 #include "src/fleet/fleet.h"
 #include "src/sched/scheduler.h"
+#include "tests/durable_codec.h"
 
 namespace mercurial {
 namespace {
@@ -1064,38 +1065,61 @@ struct PipelineOutcome {
   bool operator==(const PipelineOutcome&) const = default;
 };
 
-// Drives a perfectly informed accusation stream (every truly mercurial core accused daily)
-// through the control plane for `days` simulated days. Chaos decides what survives the wire;
-// the options under test decide how the pipeline copes.
-PipelineOutcome RunChaosPipeline(const ControlPlaneOptions& options, uint64_t seed,
-                                 int days = 60) {
-  FleetOptions fleet_options;
-  fleet_options.machine_count = 12;
-  fleet_options.mercurial_rate_multiplier = 400.0;
-  Fleet fleet = Fleet::Build(fleet_options);
-  CoreScheduler scheduler(fleet.core_count(), SchedulerCosts{});
-  CeeReportService service = MakeService(fleet);
+QuarantinePolicy ChaosPipelinePolicy() {
   QuarantinePolicy policy;
   policy.confession.stress.iterations_per_unit = 64;
-  QuarantineControlPlane plane(options, policy, Rng(seed), Rng(seed ^ 0x5eed));
+  return policy;
+}
 
-  for (int day = 1; day <= days; ++day) {
-    const SimTime now = SimTime::Days(day);
-    fleet.SetAges(now);
-    for (uint64_t core : fleet.mercurial_cores()) {
-      if (scheduler.state(core) != CoreState::kActive) {
-        continue;
+// The chaos pipeline's world: a 12-machine fleet at 400x incidence, its scheduler and report
+// service, and a control plane under the options being tested. Not movable: the service
+// reads the fleet through a reference.
+struct ChaosPipeline {
+  ChaosPipeline(const ControlPlaneOptions& options, uint64_t seed)
+      : fleet([] {
+          FleetOptions fleet_options;
+          fleet_options.machine_count = 12;
+          fleet_options.mercurial_rate_multiplier = 400.0;
+          return Fleet::Build(fleet_options);
+        }()),
+        scheduler(fleet.core_count(), SchedulerCosts{}),
+        service(MakeService(fleet)),
+        plane(options, ChaosPipelinePolicy(), Rng(seed), Rng(seed ^ 0x5eed)) {}
+  ChaosPipeline(const ChaosPipeline&) = delete;
+  ChaosPipeline& operator=(const ChaosPipeline&) = delete;
+
+  // A perfectly informed accusation stream: every truly mercurial core still in service is
+  // accused daily. Chaos decides what survives the wire; the options under test decide how
+  // the pipeline copes.
+  void Run(int days) {
+    for (int day = 1; day <= days; ++day) {
+      const SimTime now = SimTime::Days(day);
+      fleet.SetAges(now);
+      for (uint64_t core : fleet.mercurial_cores()) {
+        if (scheduler.state(core) != CoreState::kActive) {
+          continue;
+        }
+        plane.Report(ScreenFailAt(now, fleet, core), service);
       }
-      plane.Report(ScreenFailAt(now, fleet, core), service);
+      plane.Tick(now, SimTime::Days(1), fleet, scheduler, service, nullptr);
     }
-    plane.Tick(now, SimTime::Days(1), fleet, scheduler, service, nullptr);
   }
 
+  Fleet fleet;
+  CoreScheduler scheduler;
+  CeeReportService service;
+  QuarantineControlPlane plane;
+};
+
+PipelineOutcome RunChaosPipeline(const ControlPlaneOptions& options, uint64_t seed,
+                                 int days = 60) {
+  ChaosPipeline pipeline(options, seed);
+  pipeline.Run(days);
   PipelineOutcome outcome;
-  outcome.quarantine = plane.manager().stats();
-  outcome.plane = plane.stats();
-  outcome.scheduler = scheduler.stats();
-  outcome.core_count = fleet.core_count();
+  outcome.quarantine = pipeline.plane.manager().stats();
+  outcome.plane = pipeline.plane.stats();
+  outcome.scheduler = pipeline.scheduler.stats();
+  outcome.core_count = pipeline.fleet.core_count();
   outcome.duration_seconds = SimTime::Days(days).seconds();
   return outcome;
 }
@@ -1153,6 +1177,69 @@ TEST(ControlPlaneTest, ChaosPipelineIsDeterministicUnderFixedSeed) {
   const PipelineOutcome a = RunChaosPipeline(options, 99, /*days=*/45);
   const PipelineOutcome b = RunChaosPipeline(options, 99, /*days=*/45);
   EXPECT_TRUE(a == b);
+}
+
+// --- Journal codec ---------------------------------------------------------------------------
+
+// The plane's durable state mid-study: pending suspects (draining, awaiting retries),
+// probation records, and the nested manager, chaos and quorum state, which a failed load must
+// leave untouched along with the plane's own books.
+TEST(ControlPlaneTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  ControlPlaneOptions options;
+  options.chaos = HarshChaos();
+  options.chaos.delay_report = 0.3;
+  options.chaos.lying_witness = 0.2;
+  options.max_retries = 3;
+  options.retry_backoff = SimTime::Days(1);
+  options.drain_latency = SimTime::Hours(6);
+  options.quorum.enabled = true;
+  options.probation.enabled = true;
+  options.probation.weak_after_attempts = 1;
+  ChaosPipeline pipeline(options, 99);
+  pipeline.Run(/*days=*/45);
+  const QuarantineControlPlane& plane = pipeline.plane;
+  ASSERT_GT(plane.pending_count(), 0u);
+  ASSERT_GT(plane.probation_count(), 0u);
+  ASSERT_GT(plane.stats().quorum.judgments, 0u);
+  ASSERT_GT(plane.stats().chaos.reports_delayed, 0u);
+  ASSERT_GT(plane.manager().stats().retirements, 0u);
+
+  ExpectDurableCodecContract(
+      plane, QuarantineControlPlane(options, ChaosPipelinePolicy(), Rng(99), Rng(99 ^ 0x5eed)));
+  ExpectDurableCodecContract(plane.manager(), QuarantineManager(ChaosPipelinePolicy(), Rng(99)));
+}
+
+// The injector's durable state: fault counters and a queue of delayed reports.
+TEST(ChaosInjectorTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  ChaosOptions options;
+  options.delay_report = 0.6;
+  options.duplicate_report = 0.3;
+  options.report_delay_mean = SimTime::Days(2);
+  ChaosInjector chaos(options, Rng(4));
+  std::vector<Signal> deliver;
+  for (uint64_t core = 0; core < 8; ++core) {
+    chaos.InjectReport(Signal{SimTime::Days(1), core / 4, core, SignalType::kMachineCheck},
+                       deliver);
+  }
+  ASSERT_GT(chaos.delayed_in_flight(), 0u);
+
+  ExpectDurableCodecContract(chaos, ChaosInjector(options, Rng(4)));
+}
+
+TEST(QuorumInterrogatorTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  QuorumBench bench;
+  QuorumOptions options;
+  options.enabled = true;
+  options.witnesses = 3;
+  QuorumInterrogator quorum(options, Rng(7));
+  ChaosOptions chaos_options;
+  chaos_options.lying_witness = 0.2;
+  ChaosInjector chaos(chaos_options, Rng(8));
+  for (int i = 0; i < 20; ++i) {
+    quorum.Judge(0, /*tester_confessed=*/true, bench.fleet, bench.scheduler, chaos);
+  }
+
+  ExpectDurableCodecContract(quorum, QuorumInterrogator(options, Rng(7)));
 }
 
 // --- Whole-study integration ----------------------------------------------------------------

@@ -249,6 +249,26 @@ TEST(CheckpointFrameTest, RoundTripRecoversStateAndProvenance) {
   EXPECT_EQ(recovered.epoch, tag.epoch);
 }
 
+TEST(CheckpointFrameTest, FrameBytesArePinned) {
+  // The on-disk layout, byte for byte: a checkpoint written by one build must restore in the
+  // next, so any change to these bytes is a format change, not a refactor.
+  const std::vector<uint8_t> expected = {
+      0x50, 0x4b, 0x43, 0x4d,                          // magic "MCKP"
+      0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,  // core_global
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch 42
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // state
+      0xa0, 0x12, 0x59, 0x88,                          // crc32 of the 28 bytes above
+  };
+  const std::vector<uint8_t> bytes =
+      SerializeCheckpoint(0x0123456789abcdefull, ProvenanceTag{0x0706050403020100ull, 42});
+  EXPECT_EQ(bytes, expected);
+  ProvenanceTag restored;
+  const auto state = RestoreCheckpoint(expected, &restored);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, 0x0123456789abcdefull);
+  EXPECT_EQ(restored, (ProvenanceTag{0x0706050403020100ull, 42}));
+}
+
 TEST(CheckpointFrameTest, EveryBitFlipFailsLoudly) {
   // Restore-from-corrupt must never resume from silently-wrong state: flipping ANY single bit
   // of the frame — magic, provenance, state payload, or the CRC itself — must yield DATA_LOSS.

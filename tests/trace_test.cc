@@ -15,6 +15,7 @@
 #include "src/core/fleet_study.h"
 #include "src/substrate/checksum.h"
 #include "src/telemetry/trace.h"
+#include "tests/durable_codec.h"
 
 namespace mercurial {
 namespace {
@@ -154,6 +155,43 @@ TEST(TraceCodecTest, RoundTripRecoversEventsAndCounters) {
   }
 }
 
+TEST(TraceCodecTest, FrameBytesArePinned) {
+  // The on-disk layout of a hand-built two-event trace, byte for byte (fleetbench's report
+  // digest hashes these bytes, so a change here is a format change, not a refactor).
+  IncidentTrace trace;
+  trace.shards = 2;
+  trace.counters = TraceCounters{3, 2, 1, 4};
+  trace.events.push_back(
+      {86400, 5, 1, TraceEventKind::kSignalEmitted, TraceCause::kCrashSignal, 9});
+  trace.events.push_back({172800, 17, 2, TraceEventKind::kConviction, TraceCause::kConfessed,
+                          0x0102});
+  const std::vector<uint8_t> expected = {
+      0x63, 0x72, 0x74, 0x6d,                          // magic "crtm"
+      0x01, 0x00, 0x00, 0x00,                          // version
+      0x02, 0x00, 0x00, 0x00,                          // shards
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // event count
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // emitted
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // recorded
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // dropped
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // sampled out
+      0x80, 0x51, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,  // event 0: time 86400 s
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   core
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   epoch
+      0x01, 0x03,                                      //   kind, cause
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   detail
+      0x00, 0xa3, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,  // event 1: time 172800 s
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   core
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   epoch
+      0x09, 0x13,                                      //   kind, cause
+      0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   detail
+      0x49, 0x1b, 0x15, 0xcd,                          // crc32 of everything above
+  };
+  EXPECT_EQ(SerializeTrace(trace), expected);
+  const auto parsed = ParseTrace(expected);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(*parsed, trace);
+}
+
 TEST(TraceCodecTest, EmptyTraceRoundTrips) {
   TraceOptions options;
   options.enabled = true;
@@ -215,6 +253,42 @@ TEST(TraceCodecTest, OutOfRangeKindOrCauseFailsEvenWithValidCrc) {
     ASSERT_FALSE(parsed.ok()) << "out-of-range byte at offset " << offset;
     EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
   }
+}
+
+// The recorder's journal codec: full snapshots of wrapped and partly filled rings, and the
+// ring deltas a tick frame carries (inserts that overwrite, sampled-out events that only
+// move seen[] and the counters).
+TEST(TraceRecorderTest, DurableCodecRoundTripsAndRefusesPrefixes) {
+  TraceOptions options;
+  options.enabled = true;
+  options.ring_capacity = 4;
+  options.sample_every[static_cast<size_t>(TraceEventKind::kSignalEmitted)] = 2;
+  TraceRecorder recorder(options, /*core_count=*/16, /*shards=*/4);
+  recorder.EnableMutationLog(true);
+  recorder.SetTickContext(SimTime::Days(1), 1);
+  for (uint64_t i = 0; i < 6; ++i) {
+    recorder.Emit(1, TraceEventKind::kDefectFired, TraceCause::kCorruption, i);
+  }
+  recorder.Emit(9, TraceEventKind::kSuspicionRaised, TraceCause::kConcentration, 2100);
+  std::vector<uint8_t> drained;
+  ByteWriter drain_writer(drained);
+  recorder.DrainTickOps(drain_writer);  // a tick boundary
+  const TraceRecorder before = recorder;
+
+  recorder.SetTickContext(SimTime::Days(2), 2);
+  recorder.Emit(2, TraceEventKind::kQuarantineAdmit, TraceCause::kAdmitted, 1);
+  recorder.Emit(9, TraceEventKind::kConviction, TraceCause::kConfessed, 2);
+  recorder.Emit(13, TraceEventKind::kSignalEmitted, TraceCause::kCrashSignal);
+  recorder.Emit(13, TraceEventKind::kSignalEmitted, TraceCause::kCrashSignal);
+  ASSERT_TRUE(recorder.HasTickOps());
+  std::vector<uint8_t> ops;
+  ByteWriter ops_writer(ops);
+  recorder.DrainTickOps(ops_writer);
+  ASSERT_GT(recorder.Totals().events_dropped, 0u) << "a ring must have wrapped";
+  ASSERT_GT(recorder.Totals().events_sampled_out, 0u);
+
+  ExpectDurableCodecContract(recorder, TraceRecorder(options, 16, 4));
+  ExpectTickOpsContract(before, recorder, ops);
 }
 
 // --- TraceQuery -------------------------------------------------------------------------------

@@ -433,24 +433,16 @@ Status DecodeArgvManifest(const std::vector<uint8_t>& bytes, std::vector<std::st
     return s;
   }
   out->clear();
-  size_t offset = 4;
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t len = 0;
     if (Status s = r.GetU32(&len); !s.ok()) {
       return s;
     }
-    offset += 4;
-    if (len > r.remaining()) {
+    ByteReader arg;
+    if (!r.Take(len, &arg).ok()) {
       return DataLossError("manifest argv entry exceeds the payload");
     }
-    out->emplace_back(reinterpret_cast<const char*>(bytes.data() + offset), len);
-    for (uint32_t skipped = 0; skipped < len; ++skipped) {
-      uint8_t byte = 0;
-      if (Status s = r.GetU8(&byte); !s.ok()) {
-        return s;
-      }
-    }
-    offset += len;
+    out->emplace_back(reinterpret_cast<const char*>(arg.data()), len);
   }
   return r.ExpectEnd();
 }
