@@ -1,5 +1,6 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -150,6 +151,15 @@ void Rng::RestoreState(const uint64_t in[kStateWords]) {
     state_[i] = in[i];
   }
   identity_ = in[4];
+}
+
+SimTime JitteredBackoff(SimTime base, int attempts, double jitter, Rng& rng) {
+  const int shift = std::min(attempts - 1, 20);
+  double delay = static_cast<double>(base.seconds()) * static_cast<double>(uint64_t{1} << shift);
+  if (jitter > 0.0) {
+    delay *= 1.0 + jitter * (2.0 * rng.NextDouble() - 1.0);
+  }
+  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
 }
 
 }  // namespace mercurial

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/sim_time.h"
+
 namespace mercurial {
 
 class Rng {
@@ -74,6 +76,11 @@ class Rng {
   // family tree of streams does not depend on how far any stream has advanced.
   uint64_t identity_;
 };
+
+// Retry backoff: attempt k >= 1 waits base * 2^(k-1), the shift capped at 20, then jittered
+// by one draw from `rng` into [1 - jitter, 1 + jitter] times that when jitter > 0, so
+// synchronized retries de-correlate. Never less than one second.
+SimTime JitteredBackoff(SimTime base, int attempts, double jitter, Rng& rng);
 
 // splitmix64 step, exposed because defect models use it as a cheap stateless mixer.
 uint64_t SplitMix64(uint64_t& state);

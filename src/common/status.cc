@@ -26,4 +26,11 @@ const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+Status CheckProbability(double p, const char* name) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // negated so NaN is rejected too
+    return InvalidArgumentError(std::string(name) + " must be in [0, 1]");
+  }
+  return Status::Ok();
+}
+
 }  // namespace mercurial

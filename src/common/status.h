@@ -74,6 +74,9 @@ inline Status DataLossError(std::string msg) { return Status(StatusCode::kDataLo
 inline Status AbortedError(std::string msg) { return Status(StatusCode::kAborted, std::move(msg)); }
 inline Status InternalError(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
 
+// INVALID_ARGUMENT "<name> must be in [0, 1]" unless `p` is a probability; NaN is rejected too.
+Status CheckProbability(double p, const char* name);
+
 // Value-or-error. Accessing value() on an error status is a CHECK failure.
 template <typename T>
 class StatusOr {

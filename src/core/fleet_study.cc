@@ -19,6 +19,11 @@ constexpr const char* kAutoSeries = "incidents.auto_reported";
 // Capacity of the machine-check log ring (McaLog overwrites its oldest record when full).
 constexpr size_t kMcaLogCapacity = 4096;
 
+// Signal model constants: the chance a crash also yields a sanitizer signal, and the mean
+// delay before a human files a suspicion.
+constexpr double kSanitizerProbability = 0.25;
+constexpr SimTime kHumanReportMeanDelay = SimTime::Days(10);
+
 // The study owns the provenance-epoch granularity: one epoch per tick, so the repair
 // pipeline's suspect window maps 1:1 onto ledger entries.
 RepairOptions ResolveAuditOptions(const StudyOptions& options) {
@@ -163,21 +168,25 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
     return;
   }
   const CoreId id = fleet_.core_id(core_index);
+  // A human-filed suspicion, dated by one exponential delay draw.
+  const auto file_human_report = [&] {
+    const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
+        rng.Exponential(1.0 / static_cast<double>(kHumanReportMeanDelay.seconds()))));
+    delta.human_reports.push_back(
+        {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+  };
   switch (symptom) {
     case Symptom::kCrash: {
       delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kCrash});
       delta.metrics.Increment(delta.crash_id);
       TraceSignal(core_index, TraceCause::kCrashSignal);
-      if (rng.Bernoulli(options_.sanitizer_probability)) {
+      if (rng.Bernoulli(kSanitizerProbability)) {
         delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kSanitizer});
         delta.metrics.Increment(delta.sanitizer_id);
         TraceSignal(core_index, TraceCause::kSanitizerSignal);
       }
       if (rng.Bernoulli(options_.crash_human_report_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+        file_human_report();
       }
       break;
     }
@@ -216,10 +225,7 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
       }
       if (symptom == Symptom::kDetectedLate &&
           rng.Bernoulli(options_.silent_human_notice_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+        file_human_report();
       }
       break;
     case Symptom::kSilentCorruption: {
@@ -230,10 +236,7 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
       // "Wrong answers that are never detected" — except when a downstream consumer
       // eventually notices something impossible and a human investigates.
       if (rng.Bernoulli(options_.silent_human_notice_probability)) {
-        const SimTime delay = SimTime::Seconds(static_cast<int64_t>(
-            rng.Exponential(1.0 / static_cast<double>(options_.human_report_mean_delay.seconds()))));
-        delta.human_reports.push_back(
-            {now + delay, Signal{now + delay, id.machine, core_index, SignalType::kUserReport}});
+        file_human_report();
       }
       break;
     }

@@ -122,12 +122,11 @@ struct StudyOptions {
   // executed — DESIGN.md decision 1).
   uint64_t work_units_per_core_day = 50;
 
-  // Signal model.
+  // Signal model. A crash's sanitizer-signal chance and the mean delay of a human report are
+  // constants in fleet_study.cc.
   double app_report_probability = 0.6;    // detected corruption -> suspect-core RPC
-  double sanitizer_probability = 0.25;    // crash also yields a sanitizer signal
   double crash_human_report_probability = 0.08;  // triage files a human suspicion per crash
   double silent_human_notice_probability = 0.08; // silent/late corruption eventually noticed
-  SimTime human_report_mean_delay = SimTime::Days(10);
   // Background false-accusation rate from ordinary software bugs, per core per day; these are
   // evenly spread, which is exactly what the concentration test discounts.
   double background_signal_rate_per_core_day = 5e-4;

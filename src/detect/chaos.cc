@@ -5,17 +5,6 @@
 
 namespace mercurial {
 
-namespace {
-
-Status CheckProbability(double p, const char* name) {
-  if (!(p >= 0.0 && p <= 1.0)) {  // negated so NaN is rejected too
-    return InvalidArgumentError(std::string(name) + " must be in [0, 1]");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status ChaosOptions::Validate() const {
   if (Status s = CheckProbability(drop_report, "chaos drop_report"); !s.ok()) {
     return s;
@@ -115,11 +104,18 @@ std::vector<Signal> ChaosInjector::FlushDelayed(SimTime now) {
   return due;
 }
 
-bool ChaosInjector::AbortInterrogation(double* fraction_run) {
-  if (options_.abort_interrogation <= 0.0 || !rng_.Bernoulli(options_.abort_interrogation)) {
+bool ChaosInjector::Roll(double p, uint64_t& hits) {
+  if (p <= 0.0 || !rng_.Bernoulli(p)) {
     return false;
   }
-  ++stats_.interrogations_aborted;
+  ++hits;
+  return true;
+}
+
+bool ChaosInjector::AbortInterrogation(double* fraction_run) {
+  if (!Roll(options_.abort_interrogation, stats_.interrogations_aborted)) {
+    return false;
+  }
   if (fraction_run != nullptr) {
     *fraction_run = rng_.NextDouble();  // preemption lands uniformly within the battery
   }
@@ -127,54 +123,31 @@ bool ChaosInjector::AbortInterrogation(double* fraction_run) {
 }
 
 bool ChaosInjector::FailReverify() {
-  if (options_.repair_fail_reverify <= 0.0 || !rng_.Bernoulli(options_.repair_fail_reverify)) {
-    return false;
-  }
-  ++stats_.reverify_misses;
-  return true;
+  return Roll(options_.repair_fail_reverify, stats_.reverify_misses);
 }
 
 bool ChaosInjector::RepairOnDefective() {
-  if (options_.repair_on_defective <= 0.0 || !rng_.Bernoulli(options_.repair_on_defective)) {
-    return false;
-  }
-  ++stats_.defective_repairs;
-  return true;
+  return Roll(options_.repair_on_defective, stats_.defective_repairs);
 }
 
 bool ChaosInjector::PartialRepair(double* fraction_done) {
-  if (options_.repair_partial <= 0.0 || !rng_.Bernoulli(options_.repair_partial)) {
+  if (!Roll(options_.repair_partial, stats_.partial_repairs)) {
     return false;
   }
-  ++stats_.partial_repairs;
   if (fraction_done != nullptr) {
     *fraction_done = rng_.NextDouble();  // preemption lands uniformly within the pass
   }
   return true;
 }
 
-bool ChaosInjector::LyingWitness() {
-  if (options_.lying_witness <= 0.0 || !rng_.Bernoulli(options_.lying_witness)) {
-    return false;
-  }
-  ++stats_.witnesses_lied;
-  return true;
-}
+bool ChaosInjector::LyingWitness() { return Roll(options_.lying_witness, stats_.witnesses_lied); }
 
 bool ChaosInjector::WitnessCrash() {
-  if (options_.witness_crash <= 0.0 || !rng_.Bernoulli(options_.witness_crash)) {
-    return false;
-  }
-  ++stats_.witnesses_crashed;
-  return true;
+  return Roll(options_.witness_crash, stats_.witnesses_crashed);
 }
 
 bool ChaosInjector::SuppressProbationSignal() {
-  if (options_.probation_suppress <= 0.0 || !rng_.Bernoulli(options_.probation_suppress)) {
-    return false;
-  }
-  ++stats_.probation_signals_suppressed;
-  return true;
+  return Roll(options_.probation_suppress, stats_.probation_signals_suppressed);
 }
 
 std::vector<uint64_t> ChaosInjector::DrawRestarts(SimTime dt,

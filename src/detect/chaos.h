@@ -185,6 +185,10 @@ class ChaosInjector {
   template <class S, class Io>
   static void Wire(S& s, Io& io);
 
+  // One armed-fault roll: draws only when p > 0, so a disarmed knob consumes no stream
+  // position, and counts the hit.
+  bool Roll(double p, uint64_t& hits);
+
   ChaosOptions options_;
   Rng rng_;
   ChaosStats stats_;

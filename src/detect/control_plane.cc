@@ -14,8 +14,8 @@ Status ControlPlaneOptions::Validate() const {
   if (max_retries > 0 && retry_backoff.seconds() <= 0) {
     return InvalidArgumentError("retry_backoff must be positive when retries are enabled");
   }
-  if (!(retry_jitter >= 0.0 && retry_jitter <= 1.0)) {
-    return InvalidArgumentError("retry_jitter must be in [0, 1]");
+  if (Status s = CheckProbability(retry_jitter, "retry_jitter"); !s.ok()) {
+    return s;
   }
   if (drain_latency.seconds() < 0 || drain_timeout.seconds() < 0) {
     return InvalidArgumentError("drain_latency and drain_timeout must be >= 0");
@@ -67,19 +67,6 @@ bool QuarantineControlPlane::IsPending(uint64_t core_global) const {
     }
   }
   return false;
-}
-
-SimTime QuarantineControlPlane::BackoffDelay(int attempts) {
-  // Attempt k's retry waits base * 2^(k-1), jittered multiplicatively in [1-j, 1+j] so
-  // synchronized suspects de-correlate (classic retry-storm avoidance), capped at 2^20 ticks
-  // worth of shift to keep the shift defined.
-  const int shift = std::min(attempts - 1, 20);
-  double delay = static_cast<double>(options_.retry_backoff.seconds()) *
-                 static_cast<double>(uint64_t{1} << shift);
-  if (options_.retry_jitter > 0.0) {
-    delay *= 1.0 + options_.retry_jitter * (2.0 * control_rng_.NextDouble() - 1.0);
-  }
-  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
 }
 
 void QuarantineControlPlane::AdmitSuspects(SimTime now, const std::vector<SuspectCore>& suspects,
@@ -240,7 +227,8 @@ void QuarantineControlPlane::RunInterrogations(SimTime now, Fleet& fleet,
     if (result.ran && !result.confessed && pending.attempts <= options_.max_retries) {
       // Still suspicious, didn't confess (or the run was cut short): keep it quarantined and
       // come back after an exponentially-backed-off, jittered delay.
-      pending.next_attempt = now + BackoffDelay(pending.attempts);
+      pending.next_attempt = now + JitteredBackoff(options_.retry_backoff, pending.attempts,
+                                                   options_.retry_jitter, control_rng_);
       ++stats_.retries_scheduled;
       still_pending.push_back(pending);
       continue;

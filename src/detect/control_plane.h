@@ -259,7 +259,6 @@ class QuarantineControlPlane {
   static void Wire(S& s, Io& io);
 
   bool IsPending(uint64_t core_global) const;
-  SimTime BackoffDelay(int attempts);
   void Trace(uint64_t core, TraceEventKind kind, TraceCause cause, uint64_t detail = 0);
 
   ControlPlaneOptions options_;

@@ -4,17 +4,6 @@
 
 namespace mercurial {
 
-namespace {
-
-Status CheckProbability(double p, const char* name) {
-  if (!(p >= 0.0 && p <= 1.0)) {  // negated so NaN is rejected too
-    return InvalidArgumentError(std::string(name) + " must be in [0, 1]");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status QuorumOptions::Validate() const {
   if (witnesses < 1) {
     return InvalidArgumentError("quorum witnesses must be >= 1");

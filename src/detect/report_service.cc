@@ -70,7 +70,7 @@ CeeReportService::CeeReportService(ReportServiceOptions options,
 
 void CeeReportService::Report(const Signal& signal) {
   ++total_reports_;
-  const double weight = options_.type_weight[static_cast<int>(signal.type)];
+  const double weight = kSignalTypeWeight[static_cast<int>(signal.type)];
 
   CoreRecord& core = core_records_[signal.core_global];
   core.machine = signal.machine;

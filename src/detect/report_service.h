@@ -31,21 +31,22 @@ struct ReportServiceOptions {
   double half_life_days = 14.0;    // decay of report scores
   double min_score = 2.0;          // minimum decayed per-core score to even consider
   double p_value_threshold = 1e-3; // concentration test significance
-  // Signal-type weights: a machine check or screen fail is stronger evidence than one crash.
-  double type_weight[kSignalTypeCount] = {1.0, 1.0, 1.0, 2.0, 1.5, 4.0};
   // Screening failures are direct, core-attributed evidence (the battery compared results
   // against golden on that very core); they bypass the concentration test once this much
   // decayed direct mass accumulates.
   double direct_evidence_threshold = 3.0;
 };
 
-// Every SignalType must carry an explicit weight in type_weight above: a new enumerator that
-// silently picks up garbage (or clips the array) would corrupt every score. Extending
-// SignalType must update the initializer, the name switch in report_service.cc, and this
-// count — loudly, here, at compile time.
+// Evidence weight of one signal, by SignalType: a machine check or screen fail is stronger
+// evidence than one crash.
+inline constexpr double kSignalTypeWeight[kSignalTypeCount] = {1.0, 1.0, 1.0, 2.0, 1.5, 4.0};
+
+// Every SignalType must carry an explicit weight in kSignalTypeWeight above: a new enumerator
+// that silently picks up a zero (or clips the array) would corrupt every score. Extending
+// SignalType must update the table, the name switch in report_service.cc, and this count —
+// loudly, here, at compile time.
 static_assert(kSignalTypeCount == 6,
-              "SignalType changed: update ReportServiceOptions::type_weight defaults, "
-              "SignalTypeName(), and this assert");
+              "SignalType changed: update kSignalTypeWeight, SignalTypeName(), and this assert");
 
 struct SuspectCore {
   uint64_t core_global = 0;

@@ -24,8 +24,9 @@ void AppendMembers(std::vector<uint32_t>& to, std::vector<uint32_t>&& from) {
 }  // namespace
 
 Status ValidateScreeningOptions(const ScreeningOptions& options) {
-  if (!(options.online_fraction_per_day >= 0.0 && options.online_fraction_per_day <= 1.0)) {
-    return InvalidArgumentError("online_fraction_per_day must be in [0, 1]");
+  if (Status s = CheckProbability(options.online_fraction_per_day, "online_fraction_per_day");
+      !s.ok()) {
+    return s;
   }
   if (options.offline_enabled && options.offline_period.seconds() <= 0) {
     return InvalidArgumentError("offline_period must be positive when offline screening is on");

@@ -24,16 +24,36 @@ bool ValidFrameType(uint8_t type) {
          type == static_cast<uint8_t>(JournalFrameType::kTickDelta);
 }
 
-}  // namespace
+// One valid frame of the durable prefix, located by ScanFrames.
+struct Frame {
+  JournalFrameType type = JournalFrameType::kHeader;
+  uint64_t tick = 0;
+  size_t payload_begin = 0;
+  size_t payload_len = 0;
+  size_t frame_end = 0;  // offset one past the CRC
 
-StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image) {
-  JournalImageInfo info;
+  ByteReader Payload(const std::vector<uint8_t>& image) const {
+    return ByteReader(image.data() + payload_begin, payload_len);
+  }
+};
+
+// The longest valid frame prefix of a journal image, and why the scan stopped there.
+struct FrameScan {
+  std::vector<Frame> frames;
+  bool torn_tail = false;      // ended by a clipped frame
+  bool corrupt_frame = false;  // ended by a CRC/type-invalid frame
+  size_t snapshot = 0;         // index of the latest snapshot frame
+};
+
+// Scans the longest valid frame prefix; mutates nothing. Fails with DATA_LOSS when the prefix
+// does not open with a header frame of this magic and version, or holds no snapshot frame:
+// such an image proves no durable state at all.
+StatusOr<FrameScan> ScanFrames(const std::vector<uint8_t>& image) {
+  FrameScan scan;
   size_t offset = 0;
-  bool saw_header = false;
-  bool saw_snapshot = false;
   while (offset < image.size()) {
     if (image.size() - offset < kFrameOverheadBytes) {
-      info.torn_tail = true;
+      scan.torn_tail = true;
       break;
     }
     ByteReader prefix(image.data() + offset, kFramePrefixBytes);
@@ -44,7 +64,9 @@ StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image
     MERCURIAL_CHECK(prefix.GetU8(&type).ok());
     MERCURIAL_CHECK(prefix.GetU64(&tick).ok());
     if (image.size() - offset - kFrameOverheadBytes < payload_len) {
-      info.torn_tail = true;
+      // A clipped body and a bit flip in the length word are indistinguishable here; both end
+      // the durable prefix, classified as a torn tail.
+      scan.torn_tail = true;
       break;
     }
     const size_t crc_offset = offset + kFramePrefixBytes + payload_len;
@@ -53,45 +75,58 @@ StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image
     MERCURIAL_CHECK(crc_reader.GetU32(&stored_crc).ok());
     if (stored_crc != Crc32(image.data() + offset, kFramePrefixBytes + payload_len) ||
         !ValidFrameType(type)) {
-      info.corrupt_frame = true;
+      scan.corrupt_frame = true;
       break;
     }
-    const JournalFrameType frame_type = static_cast<JournalFrameType>(type);
-    if (info.frames == 0) {
-      if (frame_type != JournalFrameType::kHeader) {
-        return DataLossError("journal has no valid header frame");
-      }
-      ByteReader header(image.data() + offset + kFramePrefixBytes, payload_len);
-      uint32_t magic = 0;
-      uint32_t version = 0;
-      if (Status s = header.GetU32(&magic); !s.ok()) return s;
-      if (Status s = header.GetU32(&version); !s.ok()) return s;
-      if (magic != kJournalMagic || version != kJournalVersion) {
-        return DataLossError("journal header magic/version mismatch");
-      }
-      saw_header = true;
-    }
-    if (frame_type == JournalFrameType::kSnapshot) {
-      ++info.snapshots;
-      info.snapshot_tick = tick;
-      saw_snapshot = true;
-    } else if (frame_type == JournalFrameType::kTickDelta) {
-      ++info.tick_frames;
-    } else if (frame_type == JournalFrameType::kManifest) {
-      info.manifest.assign(image.begin() + offset + kFramePrefixBytes,
-                           image.begin() + offset + kFramePrefixBytes + payload_len);
-    }
-    ++info.frames;
-    info.durable_tick = tick;
-    offset = crc_offset + 4;
-    info.durable_prefix_bytes = offset;
+    scan.frames.push_back(Frame{static_cast<JournalFrameType>(type), tick,
+                                offset + kFramePrefixBytes, payload_len, crc_offset + 4});
+    offset = scan.frames.back().frame_end;
   }
-  if (!saw_header) {
+
+  if (scan.frames.empty() || scan.frames.front().type != JournalFrameType::kHeader) {
     return DataLossError("journal has no valid header frame");
   }
-  if (!saw_snapshot) {
-    return DataLossError("journal has no valid snapshot frame");
+  ByteReader header = scan.frames.front().Payload(image);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  if (Status s = header.GetU32(&magic); !s.ok()) return s;
+  if (Status s = header.GetU32(&version); !s.ok()) return s;
+  if (magic != kJournalMagic || version != kJournalVersion) {
+    return DataLossError("journal header magic/version mismatch");
   }
+  // Latest valid snapshot in the prefix wins.
+  for (scan.snapshot = scan.frames.size(); scan.snapshot-- > 0;) {
+    if (scan.frames[scan.snapshot].type == JournalFrameType::kSnapshot) {
+      return scan;
+    }
+  }
+  return DataLossError("journal has no valid snapshot frame");
+}
+
+}  // namespace
+
+StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image) {
+  StatusOr<FrameScan> scan = ScanFrames(image);
+  if (!scan.ok()) {
+    return scan.status();
+  }
+  JournalImageInfo info;
+  for (const Frame& frame : scan->frames) {
+    if (frame.type == JournalFrameType::kSnapshot) {
+      ++info.snapshots;
+      info.snapshot_tick = frame.tick;
+    } else if (frame.type == JournalFrameType::kTickDelta) {
+      ++info.tick_frames;
+    } else if (frame.type == JournalFrameType::kManifest) {
+      info.manifest.assign(image.begin() + frame.payload_begin,
+                           image.begin() + frame.payload_begin + frame.payload_len);
+    }
+  }
+  info.frames = scan->frames.size();
+  info.durable_tick = scan->frames.back().tick;
+  info.durable_prefix_bytes = scan->frames.back().frame_end;
+  info.torn_tail = scan->torn_tail;
+  info.corrupt_frame = scan->corrupt_frame;
   return info;
 }
 
@@ -255,9 +290,7 @@ uint64_t DurabilityManager::tick_frames_since_snapshot() const {
   return stats_.tick_frames_written - tick_frames_at_last_snapshot_;
 }
 
-Status DurabilityManager::ApplySnapshot(const ScannedFrame& frame,
-                                        uint64_t* tick_frames_before) {
-  ByteReader r(buffer_.data() + frame.payload_begin, frame.payload_len);
+Status DurabilityManager::ApplySnapshot(ByteReader r, uint64_t* tick_frames_before) {
   uint32_t unit_count = 0;
   if (Status s = r.GetU64(tick_frames_before); !s.ok()) {
     return s;
@@ -287,8 +320,7 @@ Status DurabilityManager::ApplySnapshot(const ScannedFrame& frame,
   return r.ExpectEnd();
 }
 
-Status DurabilityManager::ApplyTickDelta(const ScannedFrame& frame) {
-  ByteReader r(buffer_.data() + frame.payload_begin, frame.payload_len);
+Status DurabilityManager::ApplyTickDelta(ByteReader r) {
   // Two sections, each [u32 count]([u32 unit index][u32 len][payload])*: full-unit payloads
   // (load), then delta-unit op logs (apply).
   for (const bool delta : {false, true}) {
@@ -335,80 +367,20 @@ void DurabilityManager::RebuildCaches() {
 }
 
 StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
-  // Scan the longest valid frame prefix. The scan itself mutates nothing; classification of
-  // why it stopped (clean end, torn tail, corrupt frame) feeds the loss accounting.
-  std::vector<ScannedFrame> frames;
-  size_t offset = 0;
-  bool torn = false;
-  bool corrupt = false;
-  while (offset < buffer_.size()) {
-    if (buffer_.size() - offset < kFrameOverheadBytes) {
-      torn = true;
-      break;
-    }
-    ByteReader prefix(buffer_.data() + offset, kFramePrefixBytes);
-    uint32_t payload_len = 0;
-    uint8_t type = 0;
-    uint64_t tick = 0;
-    MERCURIAL_CHECK(prefix.GetU32(&payload_len).ok());
-    MERCURIAL_CHECK(prefix.GetU8(&type).ok());
-    MERCURIAL_CHECK(prefix.GetU64(&tick).ok());
-    if (buffer_.size() - offset - kFrameOverheadBytes < payload_len) {
-      // A clipped body and a bit flip in the length word are indistinguishable here; both end
-      // the durable prefix, classified as a torn tail.
-      torn = true;
-      break;
-    }
-    const size_t crc_offset = offset + kFramePrefixBytes + payload_len;
-    ByteReader crc_reader(buffer_.data() + crc_offset, 4);
-    uint32_t stored_crc = 0;
-    MERCURIAL_CHECK(crc_reader.GetU32(&stored_crc).ok());
-    const uint32_t computed_crc = Crc32(buffer_.data() + offset, kFramePrefixBytes + payload_len);
-    if (stored_crc != computed_crc || !ValidFrameType(type)) {
-      corrupt = true;
-      break;
-    }
-    ScannedFrame frame;
-    frame.type = static_cast<JournalFrameType>(type);
-    frame.tick = tick;
-    frame.payload_begin = offset + kFramePrefixBytes;
-    frame.payload_len = payload_len;
-    frame.frame_end = crc_offset + 4;
-    frames.push_back(frame);
-    offset = frame.frame_end;
+  // Classification of why the scan stopped (clean end, torn tail, corrupt frame) feeds the
+  // loss accounting.
+  StatusOr<FrameScan> scan = ScanFrames(buffer_);
+  if (!scan.ok()) {
+    return scan.status();
   }
-
-  if (frames.empty() || frames.front().type != JournalFrameType::kHeader) {
-    return DataLossError("journal has no valid header frame");
-  }
-  {
-    ByteReader header(buffer_.data() + frames.front().payload_begin, frames.front().payload_len);
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    if (Status s = header.GetU32(&magic); !s.ok()) return s;
-    if (Status s = header.GetU32(&version); !s.ok()) return s;
-    if (magic != kJournalMagic || version != kJournalVersion) {
-      return DataLossError("journal header magic/version mismatch");
-    }
-  }
-
-  // Latest valid snapshot in the prefix wins; tick frames after it replay in order.
-  size_t snapshot_index = frames.size();
-  for (size_t i = frames.size(); i-- > 0;) {
-    if (frames[i].type == JournalFrameType::kSnapshot) {
-      snapshot_index = i;
-      break;
-    }
-  }
-  if (snapshot_index == frames.size()) {
-    return DataLossError("journal has no valid snapshot frame");
-  }
+  const std::vector<Frame>& frames = scan->frames;
+  const size_t snapshot_index = scan->snapshot;
 
   // A fresh manager recovering a journal image it did not write (the CLI path) has no write
   // stats; adopt the scanned prefix as the written history so conservation closes with zero
   // truncation attributed to the unknowable physical tail.
   if (stats_.frames_written == 0) {
-    for (const ScannedFrame& frame : frames) {
+    for (const Frame& frame : frames) {
       ++stats_.frames_written;
       if (frame.type == JournalFrameType::kSnapshot) {
         ++stats_.snapshots_written;
@@ -426,7 +398,8 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   }
 
   uint64_t tick_frames_before = 0;
-  if (Status s = ApplySnapshot(frames[snapshot_index], &tick_frames_before); !s.ok()) {
+  if (Status s = ApplySnapshot(frames[snapshot_index].Payload(buffer_), &tick_frames_before);
+      !s.ok()) {
     return s;
   }
   uint64_t replayed = 0;
@@ -435,7 +408,7 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
     if (frames[i].type != JournalFrameType::kTickDelta) {
       return DataLossError("non-tick frame after the recovered snapshot");
     }
-    if (Status s = ApplyTickDelta(frames[i]); !s.ok()) {
+    if (Status s = ApplyTickDelta(frames[i].Payload(buffer_)); !s.ok()) {
       return s;
     }
     ++replayed;
@@ -455,7 +428,7 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   result.snapshot_tick = frames[snapshot_index].tick;
   result.frames_replayed = replayed;
   result.frames_truncated = truncated;
-  result.exact = truncated == 0 && !torn && !corrupt;
+  result.exact = truncated == 0 && !scan->torn_tail && !scan->corrupt_frame;
 
   ++stats_.recoveries;
   if (result.exact) {
@@ -465,15 +438,15 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   }
   stats_.frames_replayed += replayed;
   stats_.frames_truncated += truncated;
-  if (torn) {
+  if (scan->torn_tail) {
     ++stats_.torn_tail_truncations;
   }
-  if (corrupt) {
+  if (scan->corrupt_frame) {
     ++stats_.corrupt_frames_rejected;
   }
 
   // Manifest: last valid manifest frame in the prefix (there is exactly one in practice).
-  for (const ScannedFrame& frame : frames) {
+  for (const Frame& frame : frames) {
     if (frame.type == JournalFrameType::kManifest) {
       recovered_manifest_.assign(buffer_.begin() + frame.payload_begin,
                                  buffer_.begin() + frame.payload_begin + frame.payload_len);

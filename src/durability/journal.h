@@ -173,20 +173,12 @@ class DurabilityManager {
     std::vector<uint8_t> last_bytes;  // full units: last journaled serialization
   };
 
-  // One frame located by the recovery scan.
-  struct ScannedFrame {
-    JournalFrameType type = JournalFrameType::kHeader;
-    uint64_t tick = 0;
-    size_t payload_begin = 0;
-    size_t payload_len = 0;
-    size_t frame_end = 0;  // offset one past the CRC
-  };
-
   void AppendFrame(JournalFrameType type, uint64_t tick, const std::vector<uint8_t>& payload);
   void WriteSnapshot(uint64_t tick);
   void WriteTickDelta(uint64_t tick);
-  Status ApplySnapshot(const ScannedFrame& frame, uint64_t* tick_frames_before);
-  Status ApplyTickDelta(const ScannedFrame& frame);
+  // Each decodes one frame payload of the scanned durable prefix into the units.
+  Status ApplySnapshot(ByteReader r, uint64_t* tick_frames_before);
+  Status ApplyTickDelta(ByteReader r);
   void RebuildCaches();
   void SyncFile() const;
 

@@ -21,8 +21,8 @@ Status RepairOptions::Validate() const {
   if (max_attempts > 1 && retry_backoff.seconds() <= 0) {
     return InvalidArgumentError("repair retry_backoff must be positive when retries are enabled");
   }
-  if (!(retry_jitter >= 0.0 && retry_jitter <= 1.0)) {
-    return InvalidArgumentError("repair retry_jitter must be in [0, 1]");
+  if (Status s = CheckProbability(retry_jitter, "repair retry_jitter"); !s.ok()) {
+    return s;
   }
   if (onset_margin.seconds() < 0 || max_lookback.seconds() < 0) {
     return InvalidArgumentError("repair onset_margin and max_lookback must be >= 0");
@@ -150,16 +150,6 @@ void RepairOrchestrator::ShedToBacklogBound() {
   }
 }
 
-SimTime RepairOrchestrator::BackoffDelay(int attempts) {
-  const int shift = std::min(attempts - 1, 20);
-  double delay = static_cast<double>(options_.retry_backoff.seconds()) *
-                 static_cast<double>(uint64_t{1} << shift);
-  if (options_.retry_jitter > 0.0) {
-    delay *= 1.0 + options_.retry_jitter * (2.0 * rng_.NextDouble() - 1.0);
-  }
-  return SimTime::Seconds(std::max<int64_t>(1, static_cast<int64_t>(delay)));
-}
-
 bool RepairOrchestrator::DrawExecutorTainted() {
   bool tainted = false;
   if (core_count_ > 0 && defective_) {
@@ -174,7 +164,8 @@ bool RepairOrchestrator::DrawExecutorTainted() {
 
 void RepairOrchestrator::ScheduleRetry(SimTime now, Task& task) {
   ++task.attempts;
-  task.next_attempt = now + BackoffDelay(task.attempts);
+  task.next_attempt =
+      now + JitteredBackoff(options_.retry_backoff, task.attempts, options_.retry_jitter, rng_);
   ++stats_.retries_scheduled;
   Trace(task.core_global, TraceEventKind::kRepairRetry, TraceCause::kRetry,
         static_cast<uint64_t>(task.attempts));

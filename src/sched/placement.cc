@@ -36,7 +36,9 @@ PlacementPlan PlacementPlanner::Plan(
 }
 
 std::vector<WorkloadProfile> PlacementPlanner::StandardProfiles() {
-  // Mirrors the unit usage declared by the standard corpus in src/workload/workloads.cc.
+  // The units each standard-corpus workload exercises, most heavily used first, index-aligned
+  // with WorkloadKind. Workloads share units, as §5's "mapping of instructions to
+  // possibly-defective hardware is non-obvious" has it.
   std::vector<WorkloadProfile> profiles = {
       {"compression", {ExecUnit::kCopy, ExecUnit::kCrc}, 0.0},
       {"hash", {ExecUnit::kIntAlu, ExecUnit::kIntMul, ExecUnit::kLoad}, 0.0},

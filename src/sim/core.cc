@@ -15,6 +15,9 @@ namespace {
 // either; rotation keeps a/b asymmetric.
 inline uint64_t Signature(uint64_t a, uint64_t b) { return a ^ std::rotl(b, 1); }
 
+// The admit filter of a defect-gate walk that lets every defect on the unit draw.
+constexpr auto kAdmitAll = [](DefectEffect) { return true; };
+
 std::atomic<bool> g_dispatch_fast_path{true};
 
 }  // namespace
@@ -133,7 +136,6 @@ void SimCore::RearmDefects() {
     armed.opcode_mask = spec.opcode_mask;
     armed.trigger = spec.trigger;
     armed.probability = p;
-    armed.machine_check_fraction = spec.machine_check_fraction;
     armed.effect = spec.effect;
     armed.index = static_cast<uint16_t>(i);
     armed_[static_cast<size_t>(spec.unit)].push_back(armed);
@@ -156,45 +158,45 @@ void SimCore::TraceFire(ExecUnit unit, bool machine_check) {
   }
 }
 
-void SimCore::DispatchDefective(const OpInfo& op, uint8_t* result, size_t size) {
+template <class Admit, class Fire>
+void SimCore::ForEachFiring(const OpInfo& op, Admit admit, Fire fire) {
   if (fast_path_) {
     // Armed-list iteration draws from rng_ in exactly the reference order: armed defects keep
     // defects_ order, excluded defects never drew, and the cached probability is the same
     // double ShouldFire would recompute.
     for (const ArmedDefect& armed : ArmedForUnit(op.unit)) {
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
+      if (admit(armed.effect) && (armed.opcode_mask & (1ull << op.opcode)) != 0 &&
+          armed.trigger.Matches(op.operand_signature) && rng_.Bernoulli(armed.probability) &&
+          !fire(armed.index)) {
+        return;
       }
-      if (armed.machine_check_fraction > 0.0 && rng_.Bernoulli(armed.machine_check_fraction)) {
-        pending_machine_check_ = true;
-        ++counters_.machine_checks;
-        TraceFire(op.unit, /*machine_check=*/true);
-        continue;
-      }
-      defects_[armed.index].CorruptBytes(op, result, size, rng_);
-      ++counters_.corruptions;
-      TraceFire(op.unit, /*machine_check=*/false);
     }
     return;
   }
   const Environment env = CurrentEnvironment();
   for (uint16_t index : defects_by_unit_[static_cast<size_t>(op.unit)]) {
     const Defect& defect = defects_[index];
-    if (!defect.ShouldFire(op, env, rng_)) {
-      continue;
+    if (admit(defect.spec().effect) && defect.ShouldFire(op, env, rng_) && !fire(index)) {
+      return;
     }
-    if (defect.spec().machine_check_fraction > 0.0 &&
-        rng_.Bernoulli(defect.spec().machine_check_fraction)) {
+  }
+}
+
+void SimCore::DispatchDefective(const OpInfo& op, uint8_t* result, size_t size) {
+  ForEachFiring(op, kAdmitAll, [&](uint16_t index) {
+    const Defect& defect = defects_[index];
+    const double escalate = defect.spec().machine_check_fraction;
+    if (escalate > 0.0 && rng_.Bernoulli(escalate)) {
       pending_machine_check_ = true;
       ++counters_.machine_checks;
       TraceFire(op.unit, /*machine_check=*/true);
-      continue;
+      return true;
     }
     defect.CorruptBytes(op, result, size, rng_);
     ++counters_.corruptions;
     TraceFire(op.unit, /*machine_check=*/false);
-  }
+    return true;
+  });
 }
 
 uint64_t SimCore::Alu(AluOp op, uint64_t a, uint64_t b) {
@@ -335,40 +337,19 @@ AesBlock SimCore::AesDec(const AesBlock& state, const AesBlock& round_key, bool 
 uint8_t SimCore::AesRcon(int round) {
   uint8_t rcon = StandardAesRcon(round);
   ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kAes)];
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kAes)];
-  if (unit_defects.empty()) {
+  if (defects_by_unit_[static_cast<size_t>(ExecUnit::kAes)].empty()) {
     return rcon;
   }
-  const OpInfo op{ExecUnit::kAes, kAesOpRcon, static_cast<uint64_t>(round)};
-  if (fast_path_) {
-    for (const ArmedDefect& armed : ArmedForUnit(ExecUnit::kAes)) {
-      // The effect filter comes before any draw, as on the reference path: non-rcon AES
-      // defects never consume randomness on rcon ops.
-      if (armed.effect != DefectEffect::kRconCorrupt) {
-        continue;
-      }
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
-      }
-      rcon = defects_[armed.index].CorruptRcon(rcon);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kAes, /*machine_check=*/false);
-    }
-    return rcon;
-  }
-  const Environment env = CurrentEnvironment();
-  for (uint16_t index : unit_defects) {
-    const Defect& defect = defects_[index];
-    if (defect.spec().effect != DefectEffect::kRconCorrupt) {
-      continue;
-    }
-    if (defect.ShouldFire(op, env, rng_)) {
-      rcon = defect.CorruptRcon(rcon);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kAes, /*machine_check=*/false);
-    }
-  }
+  // Only rcon defects take part: the others never draw on rcon ops.
+  ForEachFiring(
+      {ExecUnit::kAes, kAesOpRcon, static_cast<uint64_t>(round)},
+      [](DefectEffect effect) { return effect == DefectEffect::kRconCorrupt; },
+      [&](uint16_t index) {
+        rcon = defects_[index].CorruptRcon(rcon);
+        ++counters_.corruptions;
+        TraceFire(ExecUnit::kAes, /*machine_check=*/false);
+        return true;
+      });
   return rcon;
 }
 
@@ -394,130 +375,49 @@ uint32_t SimCore::Crc32Block(uint32_t crc, const uint8_t* data, size_t n) {
 }
 
 void SimCore::Copy(uint8_t* dst, const uint8_t* src, size_t n) {
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kCopy)];
-  const size_t chunks = (n + 7) / 8;
-  counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kCopy)] += chunks;
-  if (unit_defects.empty()) {
+  counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kCopy)] += (n + 7) / 8;
+  if (defects_by_unit_[static_cast<size_t>(ExecUnit::kCopy)].empty()) {
     std::memmove(dst, src, n);
     return;
   }
-  if (fast_path_) {
-    // The reference path recomputes FireProbability per defect per 8-byte chunk; the armed
-    // list hoists that out of the chunk loop entirely.
-    const std::vector<ArmedDefect>& armed = ArmedForUnit(ExecUnit::kCopy);
-    size_t offset = 0;
-    while (offset < n) {
-      const size_t chunk = std::min<size_t>(8, n - offset);
-      uint8_t buffer[8];
-      std::memcpy(buffer, src + offset, chunk);
-      uint64_t sig = 0;
-      std::memcpy(&sig, buffer, chunk);
-      const OpInfo op{ExecUnit::kCopy, kCopyOpChunk, sig};
-      for (const ArmedDefect& ad : armed) {
-        if ((ad.opcode_mask & (1ull << op.opcode)) == 0 ||
-            !ad.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(ad.probability)) {
-          continue;
-        }
-        if (ad.machine_check_fraction > 0.0 && rng_.Bernoulli(ad.machine_check_fraction)) {
-          pending_machine_check_ = true;
-          ++counters_.machine_checks;
-          TraceFire(ExecUnit::kCopy, /*machine_check=*/true);
-          continue;
-        }
-        defects_[ad.index].CorruptBytes(op, buffer, chunk, rng_);
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kCopy, /*machine_check=*/false);
-      }
-      std::memcpy(dst + offset, buffer, chunk);
-      offset += chunk;
-    }
-    return;
-  }
-  const Environment env = CurrentEnvironment();
-  size_t offset = 0;
-  while (offset < n) {
+  // Each 8-byte chunk is one op through the byte-result effect.
+  for (size_t offset = 0; offset < n; offset += 8) {
     const size_t chunk = std::min<size_t>(8, n - offset);
     uint8_t buffer[8];
     std::memcpy(buffer, src + offset, chunk);
     uint64_t sig = 0;
     std::memcpy(&sig, buffer, chunk);
-    const OpInfo op{ExecUnit::kCopy, kCopyOpChunk, sig};
-    for (uint16_t index : unit_defects) {
-      const Defect& defect = defects_[index];
-      if (!defect.ShouldFire(op, env, rng_)) {
-        continue;
-      }
-      if (defect.spec().machine_check_fraction > 0.0 &&
-          rng_.Bernoulli(defect.spec().machine_check_fraction)) {
-        pending_machine_check_ = true;
-        ++counters_.machine_checks;
-        TraceFire(ExecUnit::kCopy, /*machine_check=*/true);
-        continue;
-      }
-      defect.CorruptBytes(op, buffer, chunk, rng_);
-      ++counters_.corruptions;
-      TraceFire(ExecUnit::kCopy, /*machine_check=*/false);
-    }
+    DispatchDefective({ExecUnit::kCopy, kCopyOpChunk, sig}, buffer, chunk);
     std::memcpy(dst + offset, buffer, chunk);
-    offset += chunk;
   }
 }
 
 bool SimCore::Cas(uint64_t& target, uint64_t expected, uint64_t desired) {
   ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kAtomic)];
   const bool would_succeed = target == expected;
-  const auto& unit_defects = defects_by_unit_[static_cast<size_t>(ExecUnit::kAtomic)];
-  if (!unit_defects.empty() && fast_path_) {
-    const OpInfo op{ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)};
-    for (const ArmedDefect& armed : ArmedForUnit(ExecUnit::kAtomic)) {
-      // Every armed defect draws when its gate passes (as ShouldFire would), even when the
-      // effect then turns out not to apply to this CAS outcome.
-      if ((armed.opcode_mask & (1ull << op.opcode)) == 0 ||
-          !armed.trigger.Matches(op.operand_signature) || !rng_.Bernoulli(armed.probability)) {
-        continue;
-      }
-      if (armed.effect == DefectEffect::kCasDropStore && would_succeed) {
-        // Lock appears acquired/updated but memory never changed.
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return true;
-      }
-      if (armed.effect == DefectEffect::kCasPhantomStore && !would_succeed) {
-        // Store happens even though the compare failed.
-        target = desired;
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return false;
-      }
-    }
-  } else if (!unit_defects.empty()) {
-    const Environment env = CurrentEnvironment();
-    const OpInfo op{ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)};
-    for (uint16_t index : unit_defects) {
-      const Defect& defect = defects_[index];
-      if (!defect.ShouldFire(op, env, rng_)) {
-        continue;
-      }
-      if (defect.spec().effect == DefectEffect::kCasDropStore && would_succeed) {
-        // Lock appears acquired/updated but memory never changed.
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return true;
-      }
-      if (defect.spec().effect == DefectEffect::kCasPhantomStore && !would_succeed) {
-        // Store happens even though the compare failed.
-        target = desired;
-        ++counters_.corruptions;
-        TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
-        return false;
-      }
-    }
+  // A lock-semantics violation never changes the reported outcome, only whether the store
+  // lands: a drop-store loses the store of a successful compare, a phantom store writes
+  // despite a failed one. The first violating defect ends the walk.
+  bool violated = false;
+  if (!defects_by_unit_[static_cast<size_t>(ExecUnit::kAtomic)].empty()) {
+    // Every defect on the unit draws when its gate passes, even when its effect then turns out
+    // not to apply to this CAS outcome.
+    ForEachFiring({ExecUnit::kAtomic, kAtomicOpCas, Signature(expected, desired)}, kAdmitAll,
+                  [&](uint16_t index) {
+                    const DefectEffect effect = defects_[index].spec().effect;
+                    violated = (effect == DefectEffect::kCasDropStore && would_succeed) ||
+                               (effect == DefectEffect::kCasPhantomStore && !would_succeed);
+                    if (violated) {
+                      ++counters_.corruptions;
+                      TraceFire(ExecUnit::kAtomic, /*machine_check=*/false);
+                    }
+                    return !violated;
+                  });
   }
-  if (would_succeed) {
+  if (would_succeed != violated) {
     target = desired;
-    return true;
   }
-  return false;
+  return would_succeed;
 }
 
 bool SimCore::TakePendingMachineCheck() {

@@ -28,9 +28,10 @@ namespace mercurial {
 
 class TraceRecorder;
 
-// Process-wide default for the dispatch fast path (armed-defect caching, see SimCore below).
-// New cores capture the value at construction; flipping it lets the equivalence suite prove
-// the fast and reference paths produce bit-identical studies. Enabled by default.
+// Process-wide default for the dispatch fast path: the armed-defect cache in the defect gate
+// (SimCore::ForEachFiring). New cores capture the value at construction; flipping it lets the
+// equivalence suite prove the fast and reference paths produce bit-identical studies.
+// Enabled by default.
 void SetDispatchFastPath(bool enabled);
 bool DispatchFastPathEnabled();
 
@@ -75,7 +76,7 @@ class SimCore {
 
   // --- Operating conditions ----------------------------------------------------------------
   // Every setter that can move the fire-probability surface bumps env_revision_, which is what
-  // invalidates the armed-defect cache (see Dispatch). The operating point and age setters
+  // invalidates the armed-defect cache (see ForEachFiring). The operating point and age setters
   // skip the bump when the value is unchanged, so offline sweeps that restore the original
   // point and per-tick SetAges calls only invalidate when something actually moved.
   void set_operating_point(OperatingPoint point) {
@@ -104,7 +105,9 @@ class SimCore {
   uint64_t env_revision() const { return env_revision_; }
 
   // Per-core override of the dispatch fast path (captured from DispatchFastPathEnabled() at
-  // construction). The reference path recomputes the environment and FireProbability per op.
+  // construction). It forks only the defect gate inside ForEachFiring: the fast path reads
+  // the armed cache, the reference path recomputes the environment and FireProbability per
+  // op. Both draw the same stream and share every effect.
   void set_fast_path(bool enabled) { fast_path_ = enabled; }
   bool fast_path() const { return fast_path_; }
 
@@ -169,14 +172,13 @@ class SimCore {
     uint64_t opcode_mask = 0;
     DataTrigger trigger;
     double probability = 0.0;  // FireProbability in the cached environment; always > 0
-    double machine_check_fraction = 0.0;
     DefectEffect effect = DefectEffect::kBitFlip;
     uint16_t index = 0;  // into defects_
   };
 
-  // Computes correct-result bookkeeping and (for defective units) runs the defect gates.
-  // `result`/`size` point at the already-computed correct result bytes. The gate is inline so
-  // ops on a unit with no defect — nearly all of them — cost a counter bump and a branch.
+  // Counts one op on `op.unit` and, for a defective unit, lets its defects corrupt the
+  // already-computed correct result at `result`/`size`. Inline so ops on a unit with no
+  // defect — nearly all of them — cost a counter bump and a branch.
   void Dispatch(const OpInfo& op, uint8_t* result, size_t size) {
     const auto unit = static_cast<size_t>(op.unit);
     ++counters_.ops_per_unit[unit];
@@ -184,8 +186,17 @@ class SimCore {
       DispatchDefective(op, result, size);
     }
   }
-  // The defect gates of Dispatch: the armed-cache path, or the reference path.
+  // The byte-result effect of every firing defect: a machine check with the defect's
+  // machine_check_fraction, else CorruptBytes. Counts nothing per op; Dispatch and Copy do.
   void DispatchDefective(const OpInfo& op, uint8_t* result, size_t size);
+
+  // The one defect-gate walk. Visits the defects on op.unit in defects_ order and skips, before
+  // any draw, those whose effect `admit` rejects. The rest are gated exactly as
+  // Defect::ShouldFire would gate them: from the armed cache when fast_path_ is set, by
+  // recomputing the environment otherwise. fire(index into defects_) applies the effect of
+  // each firing defect and returns false to stop the walk.
+  template <class Admit, class Fire>
+  void ForEachFiring(const OpInfo& op, Admit admit, Fire fire);
 
   // Armed-defect list for `unit` under the current environment; re-arms if stale.
   const std::vector<ArmedDefect>& ArmedForUnit(ExecUnit unit);

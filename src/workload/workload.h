@@ -4,6 +4,9 @@
 // would observe (the Symptom) alongside harness-only ground truth (whether the output was
 // actually wrong). On a healthy core the result is always {kNone, wrong_output=false} — the
 // fleet simulator exploits this for its fast path.
+//
+// A workload knows only its kind. The execution units each kind exercises are listed once, in
+// PlacementPlanner::StandardProfiles (src/sched/placement.cc), index-aligned with WorkloadKind.
 
 #ifndef MERCURIAL_SRC_WORKLOAD_WORKLOAD_H_
 #define MERCURIAL_SRC_WORKLOAD_WORKLOAD_H_
@@ -50,37 +53,6 @@ struct WorkloadOptions {
   double late_check_fraction = 0.3;
 };
 
-class Workload {
- public:
-  explicit Workload(WorkloadOptions options) : options_(options) {}
-  virtual ~Workload() = default;
-
-  Workload(const Workload&) = delete;
-  Workload& operator=(const Workload&) = delete;
-
-  virtual const std::string& name() const = 0;
-
-  // The units this workload exercises, most-heavily-used first. Detection uses this to decide
-  // whether a workload can confess a given defect; §5's "mapping of instructions to
-  // possibly-defective hardware is non-obvious" is modeled by some workloads sharing units.
-  virtual std::vector<ExecUnit> UnitsExercised() const = 0;
-
-  // Executes one unit of work. Deterministic given (core state, rng state).
-  virtual WorkloadResult Run(SimCore& core, Rng& rng) = 0;
-
-  const WorkloadOptions& options() const { return options_; }
-
- protected:
-  // Shared epilogue: pending machine checks dominate; correct results are kNone; wrong results
-  // caught by a check that ran are detected (late with probability late_check_fraction), and
-  // everything else is silent corruption. `checked` is whether the app-level check ran this
-  // time, `caught` whether it would notice this particular corruption.
-  WorkloadResult Classify(SimCore& core, bool wrong, bool checked, bool caught, uint64_t ops,
-                          Rng& rng) const;
-
-  WorkloadOptions options_;
-};
-
 // Identifiers for the standard corpus ("compression, hash, math, cryptography, copying,
 // locking" plus the production-incident analogs from §2).
 enum class WorkloadKind : uint8_t {
@@ -101,6 +73,37 @@ enum class WorkloadKind : uint8_t {
 inline constexpr int kWorkloadKindCount = 12;
 
 const char* WorkloadKindName(WorkloadKind kind);
+
+class Workload {
+ public:
+  Workload(WorkloadKind kind, WorkloadOptions options)
+      : options_(options), name_(WorkloadKindName(kind)) {}
+  virtual ~Workload() = default;
+
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
+
+  // WorkloadKindName of the kind MakeWorkload built.
+  const std::string& name() const { return name_; }
+
+  // Executes one unit of work. Deterministic given (core state, rng state).
+  virtual WorkloadResult Run(SimCore& core, Rng& rng) = 0;
+
+  const WorkloadOptions& options() const { return options_; }
+
+ protected:
+  // Shared epilogue: pending machine checks dominate; correct results are kNone; wrong results
+  // caught by a check that ran are detected (late with probability late_check_fraction), and
+  // everything else is silent corruption. `checked` is whether the app-level check ran this
+  // time, `caught` whether it would notice this particular corruption.
+  WorkloadResult Classify(SimCore& core, bool wrong, bool checked, bool caught, uint64_t ops,
+                          Rng& rng) const;
+
+  WorkloadOptions options_;
+
+ private:
+  std::string name_;
+};
 
 std::unique_ptr<Workload> MakeWorkload(WorkloadKind kind, WorkloadOptions options);
 

@@ -111,15 +111,6 @@ class CompressionWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "compression";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kCopy, ExecUnit::kCrc};
-  }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     const std::vector<uint8_t> data = MakeCompressiblePayload(rng, options_.payload_bytes);
@@ -150,15 +141,6 @@ class HashWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "hash";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kIntAlu, ExecUnit::kIntMul, ExecUnit::kLoad};
-  }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     const std::vector<uint8_t> data = MakeRandomPayload(rng, options_.payload_bytes);
@@ -174,13 +156,6 @@ class HashWorkload final : public Workload {
 class CryptoWorkload final : public Workload {
  public:
   using Workload::Workload;
-
-  const std::string& name() const override {
-    static const std::string kName = "crypto";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override { return {ExecUnit::kAes}; }
 
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
@@ -210,13 +185,6 @@ class MemcpyWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "memcpy";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override { return {ExecUnit::kCopy}; }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     const std::vector<uint8_t> data = MakeRandomPayload(rng, options_.payload_bytes);
@@ -230,15 +198,6 @@ class MemcpyWorkload final : public Workload {
 class LockingWorkload final : public Workload {
  public:
   using Workload::Workload;
-
-  const std::string& name() const override {
-    static const std::string kName = "locking";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kAtomic, ExecUnit::kIntAlu, ExecUnit::kLoad};
-  }
 
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
@@ -277,15 +236,6 @@ class SortingWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "sorting";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kLoad, ExecUnit::kStore};
-  }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     std::vector<uint64_t> keys(std::max<size_t>(options_.payload_bytes / 8, 8));
@@ -313,13 +263,6 @@ class MatmulWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "matmul";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override { return {ExecUnit::kFp}; }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     const size_t n = 8;
@@ -342,13 +285,6 @@ class MatmulWorkload final : public Workload {
 class GarbageCollectWorkload final : public Workload {
  public:
   using Workload::Workload;
-
-  const std::string& name() const override {
-    static const std::string kName = "garbage_collect";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override { return {ExecUnit::kLoad}; }
 
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
@@ -410,15 +346,6 @@ class DbIndexWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "db_index";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kLoad, ExecUnit::kIntAlu};
-  }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     // A real B-tree index served with core-routed probe loads: "database index corruption
@@ -459,15 +386,6 @@ class KernelWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "kernel";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kIntAlu, ExecUnit::kLoad, ExecUnit::kStore, ExecUnit::kAtomic};
-  }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     // Privileged state machine: a run queue of words mutated by load-modify-store cycles.
@@ -507,13 +425,6 @@ class VectorScanWorkload final : public Workload {
  public:
   using Workload::Workload;
 
-  const std::string& name() const override {
-    static const std::string kName = "vector_scan";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override { return {ExecUnit::kVector}; }
-
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
     // SIMD scan/fold over a buffer — the analytics-kernel pattern that §5 pairs with copy
@@ -543,15 +454,6 @@ class VectorScanWorkload final : public Workload {
 class ArithmeticWorkload final : public Workload {
  public:
   using Workload::Workload;
-
-  const std::string& name() const override {
-    static const std::string kName = "arithmetic";
-    return kName;
-  }
-
-  std::vector<ExecUnit> UnitsExercised() const override {
-    return {ExecUnit::kIntDiv, ExecUnit::kIntMul, ExecUnit::kIntAlu};
-  }
 
   WorkloadResult Run(SimCore& core, Rng& rng) override {
     OpCounterScope ops(core);
@@ -602,29 +504,29 @@ WorkloadResult Workload::Classify(SimCore& core, bool wrong, bool checked, bool 
 std::unique_ptr<Workload> MakeWorkload(WorkloadKind kind, WorkloadOptions options) {
   switch (kind) {
     case WorkloadKind::kCompression:
-      return std::make_unique<CompressionWorkload>(options);
+      return std::make_unique<CompressionWorkload>(kind, options);
     case WorkloadKind::kHash:
-      return std::make_unique<HashWorkload>(options);
+      return std::make_unique<HashWorkload>(kind, options);
     case WorkloadKind::kCrypto:
-      return std::make_unique<CryptoWorkload>(options);
+      return std::make_unique<CryptoWorkload>(kind, options);
     case WorkloadKind::kMemcpy:
-      return std::make_unique<MemcpyWorkload>(options);
+      return std::make_unique<MemcpyWorkload>(kind, options);
     case WorkloadKind::kLocking:
-      return std::make_unique<LockingWorkload>(options);
+      return std::make_unique<LockingWorkload>(kind, options);
     case WorkloadKind::kSorting:
-      return std::make_unique<SortingWorkload>(options);
+      return std::make_unique<SortingWorkload>(kind, options);
     case WorkloadKind::kMatmul:
-      return std::make_unique<MatmulWorkload>(options);
+      return std::make_unique<MatmulWorkload>(kind, options);
     case WorkloadKind::kGarbageCollect:
-      return std::make_unique<GarbageCollectWorkload>(options);
+      return std::make_unique<GarbageCollectWorkload>(kind, options);
     case WorkloadKind::kDbIndex:
-      return std::make_unique<DbIndexWorkload>(options);
+      return std::make_unique<DbIndexWorkload>(kind, options);
     case WorkloadKind::kKernel:
-      return std::make_unique<KernelWorkload>(options);
+      return std::make_unique<KernelWorkload>(kind, options);
     case WorkloadKind::kVectorScan:
-      return std::make_unique<VectorScanWorkload>(options);
+      return std::make_unique<VectorScanWorkload>(kind, options);
     case WorkloadKind::kArithmetic:
-      return std::make_unique<ArithmeticWorkload>(options);
+      return std::make_unique<ArithmeticWorkload>(kind, options);
   }
   MERCURIAL_CHECK(false) << "unknown workload kind";
   return nullptr;

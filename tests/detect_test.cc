@@ -855,10 +855,9 @@ TEST(SignalTest, EveryTypeCarriesAPositiveDefaultWeight) {
   // Companion to the static_assert in report_service.h: the compile-time guard pins the
   // count; this pins the values — a new SignalType that slid in with a zero (value-initialized)
   // weight would silently erase every report of that type from the evidence ledger.
-  const ReportServiceOptions options;
   for (int t = 0; t < kSignalTypeCount; ++t) {
-    EXPECT_GT(options.type_weight[t], 0.0)
-        << "type_weight[" << SignalTypeName(static_cast<SignalType>(t)) << "] must be set";
+    EXPECT_GT(kSignalTypeWeight[t], 0.0)
+        << "kSignalTypeWeight[" << SignalTypeName(static_cast<SignalType>(t)) << "] must be set";
   }
 }
 

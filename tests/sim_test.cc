@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -499,6 +500,100 @@ TEST(SimCoreTest, DispatchCacheInvalidatedByOperatingPoint) {
 
   core.set_operating_point(OperatingPoint{});
   EXPECT_NE(core.Alu(AluOp::kAdd, 1, 1), 2u) << "cache must re-arm again on restore";
+}
+
+// --- One gate walk: the fast and reference paths agree op by op ----------------------------
+
+// Takes both cores' pending machine checks and compares them with every counter.
+::testing::AssertionResult SameDispatchState(SimCore& fast, SimCore& reference) {
+  const bool fast_pending = fast.TakePendingMachineCheck();
+  const bool reference_pending = reference.TakePendingMachineCheck();
+  const CoreCounters& f = fast.counters();
+  const CoreCounters& r = reference.counters();
+  if (fast_pending != reference_pending || f.corruptions != r.corruptions ||
+      f.machine_checks != r.machine_checks || f.ops_per_unit != r.ops_per_unit) {
+    return ::testing::AssertionFailure()
+           << "pending " << fast_pending << " vs " << reference_pending << ", corruptions "
+           << f.corruptions << " vs " << r.corruptions << ", machine checks "
+           << f.machine_checks << " vs " << r.machine_checks;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimCoreTest, FastAndReferenceDispatchAgreeOpByOp) {
+  // Mixed effects share each unit, so the walk must filter, draw and escalate across defects
+  // the same way on both paths: rcon ops skip the AES bit flip before it draws, a CAS defect
+  // whose effect does not apply still draws, and copy chunks escalate one by one.
+  const auto make = [](ExecUnit unit, DefectEffect effect, double rate, double escalate) {
+    DefectSpec spec = AlwaysFire(unit, effect);
+    spec.fvt.base_rate = rate;
+    spec.machine_check_fraction = escalate;
+    return spec;
+  };
+  std::vector<DefectSpec> specs = {
+      make(ExecUnit::kAes, DefectEffect::kRconCorrupt, 0.3, 0.0),
+      make(ExecUnit::kAes, DefectEffect::kBitFlip, 0.05, 0.4),
+      make(ExecUnit::kAtomic, DefectEffect::kCasDropStore, 0.2, 0.0),
+      make(ExecUnit::kAtomic, DefectEffect::kBitFlip, 0.3, 0.0),
+      make(ExecUnit::kAtomic, DefectEffect::kCasPhantomStore, 0.2, 0.0),
+      make(ExecUnit::kCopy, DefectEffect::kStuckSet, 0.1, 0.0),
+      make(ExecUnit::kCopy, DefectEffect::kRandomWrong, 0.1, 0.3),
+      make(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 0.2, 0.2),
+  };
+  specs[0].opcode_mask = 1ull << kAesOpRcon;
+  specs[0].xor_mask = 0x1b;
+  specs[5].bit_index = 13;
+  SimCore fast(7, Rng(77));
+  SimCore reference(7, Rng(77));
+  fast.set_fast_path(true);
+  reference.set_fast_path(false);
+  for (const DefectSpec& spec : specs) {
+    fast.AddDefect(spec);
+    reference.AddDefect(spec);
+  }
+
+  Rng rng(2024);
+  for (int step = 0; step < 2000; ++step) {
+    SCOPED_TRACE(step);
+    const uint64_t a = rng.NextU64();
+    const uint64_t b = rng.NextU64();
+    ASSERT_EQ(fast.Alu(AluOp::kXor, a, b), reference.Alu(AluOp::kXor, a, b));
+    ASSERT_TRUE(SameDispatchState(fast, reference)) << "alu";
+
+    uint8_t key[kAesKeyBytes];
+    rng.FillBytes(key, sizeof(key));
+    ASSERT_TRUE(fast.ExpandKey(key).round_keys == reference.ExpandKey(key).round_keys);
+    ASSERT_TRUE(SameDispatchState(fast, reference)) << "expand key";
+
+    AesBlock state;
+    AesBlock round_key;
+    rng.FillBytes(state.data(), state.size());
+    rng.FillBytes(round_key.data(), round_key.size());
+    const bool last = step % 10 == 9;
+    ASSERT_EQ(fast.AesEnc(state, round_key, last), reference.AesEnc(state, round_key, last));
+    ASSERT_TRUE(SameDispatchState(fast, reference)) << "aes enc";
+
+    const size_t n = 1 + static_cast<size_t>(step) % 67;
+    uint8_t src[67];
+    uint8_t fast_dst[67];
+    uint8_t reference_dst[67];
+    rng.FillBytes(src, n);
+    fast.Copy(fast_dst, src, n);
+    reference.Copy(reference_dst, src, n);
+    ASSERT_EQ(std::memcmp(fast_dst, reference_dst, n), 0) << "copy of " << n;
+    ASSERT_TRUE(SameDispatchState(fast, reference)) << "copy of " << n;
+
+    for (const bool succeed : {true, false}) {
+      uint64_t fast_target = a;
+      uint64_t reference_target = a;
+      const uint64_t expected = succeed ? a : a + 1;
+      ASSERT_EQ(fast.Cas(fast_target, expected, b), reference.Cas(reference_target, expected, b));
+      ASSERT_EQ(fast_target, reference_target) << "cas " << succeed;
+      ASSERT_TRUE(SameDispatchState(fast, reference)) << "cas " << succeed;
+    }
+  }
+  EXPECT_GT(fast.counters().corruptions, 1000u);
+  EXPECT_GT(fast.counters().machine_checks, 100u);
 }
 
 // --- Catalog -------------------------------------------------------------------------------

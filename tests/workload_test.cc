@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/sched/placement.h"
 #include "src/sim/core.h"
 #include "src/substrate/checksum.h"
 #include "src/substrate/lz.h"
@@ -219,10 +221,14 @@ TEST_P(WorkloadKindTest, HealthyCoreProducesNoSymptoms) {
 }
 
 TEST_P(WorkloadKindTest, NameAndUnitsAreDeclared) {
+  // The placement profiles carry each kind's units and must stay index-aligned with the kinds.
   const auto kind = static_cast<WorkloadKind>(GetParam());
   auto workload = MakeWorkload(kind, WorkloadOptions{});
   EXPECT_EQ(workload->name(), WorkloadKindName(kind));
-  EXPECT_FALSE(workload->UnitsExercised().empty());
+  const std::vector<WorkloadProfile> profiles = PlacementPlanner::StandardProfiles();
+  ASSERT_EQ(profiles.size(), static_cast<size_t>(kWorkloadKindCount));
+  EXPECT_EQ(profiles[GetParam()].name, WorkloadKindName(kind));
+  EXPECT_FALSE(profiles[GetParam()].units_exercised.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, WorkloadKindTest, ::testing::Range(0, kWorkloadKindCount));
