@@ -18,6 +18,25 @@ inline uint64_t Signature(uint64_t a, uint64_t b) { return a ^ std::rotl(b, 1); 
 // The admit filter of a defect-gate walk that lets every defect on the unit draw.
 constexpr auto kAdmitAll = [](DefectEffect) { return true; };
 
+// The admit filter of byte-result ops: only effects that rewrite result bytes take part, so a
+// behavioural defect (an rcon or CAS effect) whose opcode mask admits the op never draws,
+// counts a corruption or escalates on it.
+constexpr auto kAdmitByteEffects = [](DefectEffect effect) {
+  switch (effect) {
+    case DefectEffect::kBitFlip:
+    case DefectEffect::kStuckSet:
+    case DefectEffect::kStuckClear:
+    case DefectEffect::kDeterministicWrong:
+    case DefectEffect::kRandomWrong:
+      return true;
+    case DefectEffect::kCasDropStore:
+    case DefectEffect::kCasPhantomStore:
+    case DefectEffect::kRconCorrupt:
+      return false;
+  }
+  return false;
+};
+
 std::atomic<bool> g_dispatch_fast_path{true};
 
 }  // namespace
@@ -183,7 +202,7 @@ void SimCore::ForEachFiring(const OpInfo& op, Admit admit, Fire fire) {
 }
 
 void SimCore::DispatchDefective(const OpInfo& op, uint8_t* result, size_t size) {
-  ForEachFiring(op, kAdmitAll, [&](uint16_t index) {
+  ForEachFiring(op, kAdmitByteEffects, [&](uint16_t index) {
     const Defect& defect = defects_[index];
     const double escalate = defect.spec().machine_check_fraction;
     if (escalate > 0.0 && rng_.Bernoulli(escalate)) {

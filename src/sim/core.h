@@ -186,8 +186,9 @@ class SimCore {
       DispatchDefective(op, result, size);
     }
   }
-  // The byte-result effect of every firing defect: a machine check with the defect's
-  // machine_check_fraction, else CorruptBytes. Counts nothing per op; Dispatch and Copy do.
+  // The byte-result effect of every firing byte-effect defect: a machine check with the
+  // defect's machine_check_fraction, else CorruptBytes. Rcon and CAS defects never take part.
+  // Counts nothing per op; Dispatch and Copy do.
   void DispatchDefective(const OpInfo& op, uint8_t* result, size_t size);
 
   // The one defect-gate walk. Visits the defects on op.unit in defects_ order and skips, before

@@ -12,6 +12,7 @@
 #include "src/sim/core.h"
 #include "src/sim/defect_catalog.h"
 #include "src/substrate/aes.h"
+#include "src/telemetry/trace.h"
 
 namespace mercurial {
 namespace {
@@ -271,6 +272,28 @@ TEST(DefectTest, SelfInvertingAesKeySchedule) {
   EXPECT_EQ(AesDecryptBlock(bad, AesEncryptBlock(bad, block)), block);
   // ...but decryption elsewhere (with the correct schedule) yields gibberish.
   EXPECT_NE(AesDecryptBlock(good, AesEncryptBlock(bad, block)), block);
+}
+
+TEST(DefectTest, RconDefectNeverCorruptsAByteResultOp) {
+  // An rcon defect whose opcode mask admits every AES op has no byte effect: an encryption
+  // round stays golden and counts no corruption on either gate path, and emits no event.
+  AesBlock state;
+  Rng(11).FillBytes(state.data(), state.size());
+  const AesBlock round_key = ExpandAesKey(state.data()).round_keys[3];
+  for (bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path" : "reference path");
+    SimCore core = HealthyCore();
+    core.set_fast_path(fast_path);
+    TraceOptions options;
+    options.enabled = true;
+    TraceRecorder trace(options, /*core_count=*/2, /*shards=*/1);
+    core.set_trace_recorder(&trace);
+    core.AddDefect(AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt));
+    EXPECT_EQ(core.AesEnc(state, round_key, false), AesEncRound(state, round_key, false));
+    EXPECT_EQ(core.counters().corruptions, 0u);
+    EXPECT_EQ(core.counters().machine_checks, 0u);
+    EXPECT_TRUE(trace.Assemble().events.empty());
+  }
 }
 
 TEST(DefectTest, RconDefectWithDataTriggerCorruptsOnlyItsRound) {
