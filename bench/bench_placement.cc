@@ -13,7 +13,7 @@
 
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "src/common/csv.h"
@@ -57,7 +57,7 @@ int main() {
 
   // Confess each core to learn its failed units (the planner's input — NOT ground truth).
   ConfessionTester tester(ConfessionOptions{});
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed_units;
+  std::map<uint64_t, std::vector<ExecUnit>> failed_units;
   int confessed = 0;
   for (auto& core : cores) {
     const Confession confession = tester.Interrogate(*core, rng);

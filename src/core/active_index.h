@@ -82,7 +82,8 @@ class ActiveProductionIndex {
   size_t pending_cursor_ = 0;
   std::vector<std::vector<uint64_t>> active_;  // per shard, ascending
   std::vector<uint64_t> range_ends_;           // partition ends, for ShardOf
-  std::unordered_set<uint64_t> retired_pending_;  // retired before activation
+  // Cores retired before activation.
+  std::unordered_set<uint64_t> retired_pending_;  // order-free: membership tests only
   uint64_t admitted_ = 0;
   uint64_t retired_ = 0;
 };

@@ -131,9 +131,9 @@ FleetStudy::FleetStudy(StudyOptions options)
 
   if (options_.screening.adaptive) {
     // Evidence probe for the risk-adaptive allocator. Called only from the serial plan phase
-    // (PlanAdaptiveTick), so the report-service and scheduler reads are race-free; the peek
-    // is const, so probing changes neither component's state — adaptive mode stays
-    // bit-invisible to them.
+    // (PlanAdaptiveTick), so the report-service and scheduler reads are race-free (a peek
+    // brings the core's report record up to date in place). A peek changes no later answer
+    // of either component, so adaptive mode stays bit-invisible to them.
     screening_.set_risk_probe([this](uint64_t core, SimTime now) {
       const CeeReportService::CoreEvidence peek = service_.PeekEvidence(core, now);
       ScreeningRiskEvidence evidence;
@@ -407,8 +407,7 @@ void FleetStudy::FlushHumanReports(SimTime now) {
   pending_human_reports_.erase(due, pending_human_reports_.end());
 }
 
-void FleetStudy::ProcessSuspects(
-    SimTime now, const std::unordered_map<uint64_t, SimTime>& activation_time) {
+void FleetStudy::ProcessSuspects(SimTime now, const ActivationTimes& activation_time) {
   const auto verdicts =
       control_plane_.Tick(now, options_.tick, fleet_, scheduler_, service_, &screening_);
   for (const QuarantineVerdict& verdict : verdicts) {
@@ -429,9 +428,9 @@ void FleetStudy::ProcessSuspects(
   }
 }
 
-std::unordered_map<uint64_t, SimTime> FleetStudy::ComputeActivationTimes() {
+FleetStudy::ActivationTimes FleetStudy::ComputeActivationTimes() {
   // Activation time per mercurial core (study-relative), for latency metrics.
-  std::unordered_map<uint64_t, SimTime> activation_time;
+  ActivationTimes activation_time;
   for (uint64_t core_index : fleet_.mercurial_cores()) {
     const Machine& machine = fleet_.machine(fleet_.core_id(core_index).machine);
     SimTime earliest = SimTime::Days(1 << 20);
@@ -485,7 +484,7 @@ void FleetStudy::RunBurnIn() {
 }
 
 void FleetStudy::RunTicks(SimClock& clock, int64_t ticks, int shards, int threads,
-                          const std::unordered_map<uint64_t, SimTime>& activation_time) {
+                          const ActivationTimes& activation_time) {
   const std::vector<ShardRange> ranges = PartitionCores(fleet_.core_count(), shards);
 
   // Each shard owns a private corpus instance: Workload::Run mutates only core and rng state
@@ -924,7 +923,7 @@ StudyReport FleetStudy::Run() {
   SimClock clock;
   fleet_.SetAges(clock.now());
 
-  const std::unordered_map<uint64_t, SimTime> activation_time = ComputeActivationTimes();
+  const ActivationTimes activation_time = ComputeActivationTimes();
 
   if (options_.burn_in) {
     RunBurnIn();

@@ -309,10 +309,12 @@ class FleetStudy {
 
   // Serial control-plane stages, run after each tick's merge barrier.
   void FlushHumanReports(SimTime now);
-  void ProcessSuspects(SimTime now,
-                       const std::unordered_map<uint64_t, SimTime>& activation_time);
+  // Activation time per mercurial core.
+  // order-free: looked up by core only.
+  using ActivationTimes = std::unordered_map<uint64_t, SimTime>;
+  void ProcessSuspects(SimTime now, const ActivationTimes& activation_time);
   void RunBurnIn();
-  std::unordered_map<uint64_t, SimTime> ComputeActivationTimes();
+  ActivationTimes ComputeActivationTimes();
   // Arms the sparse engine for the resolved shard partition: builds the screening due-wheels
   // and the active-production index, and hooks scheduler retirements to index removal.
   void EnableSparseEngine(const std::vector<ShardRange>& ranges);
@@ -333,7 +335,7 @@ class FleetStudy {
 
   // The tick loop: parallel shard phase, merge barrier, serial control plane.
   void RunTicks(SimClock& clock, int64_t ticks, int shards, int threads,
-                const std::unordered_map<uint64_t, SimTime>& activation_time);
+                const ActivationTimes& activation_time);
 
   StudyOptions options_;
   Rng rng_;

@@ -41,12 +41,13 @@ McaAnalysis AnalyzeMcaLog(const McaLog& log, uint64_t recidivism_threshold) {
     uint64_t machine = 0;
     uint64_t count = 0;
     std::array<uint64_t, kExecUnitCount> bank_counts{};
-    std::unordered_map<uint64_t, uint64_t> syndrome_counts;
+    std::unordered_map<uint64_t, uint64_t> syndrome_counts;  // order-free: any count >= 2
     SimTime first_seen;
     SimTime last_seen;
   };
 
   McaAnalysis analysis;
+  // order-free: findings are sorted below by (record count, core), a full tiebreak.
   std::unordered_map<uint64_t, CoreAccumulator> by_core;
   for (const McaRecord& record : log.Snapshot()) {
     ++analysis.records_analyzed;

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <queue>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -55,6 +57,28 @@ struct SuspectCore {
   double p_value = 1.0;   // concentration-test tail probability
 };
 
+// Core records whose decayed score falls below this at a sweep are noise and are dropped.
+inline constexpr double kReportPruneBelow = 0.05;
+
+// The service is lazy but exact. Every call returns, bit for bit, what an eager service returns
+// that decays every core and machine record at every Suspects() sweep and drops each core
+// record at the first sweep at which its score falls below kReportPruneBelow.
+//
+// - Hot set. A core record is hot while its score is >= min_score or its direct score is
+//   >= direct_evidence_threshold at its last evaluation (its last report or sweep). Scores
+//   only decay between reports, so a cold record cannot become a suspect before its next
+//   report; Suspects() tests only the hot set, in ascending core order.
+// - Replay. Every other record is brought up to date only when it is touched (Report, a hot
+//   test, PeekEvidence), by replaying from the sweep log the decay steps the eager sweep would
+//   have applied, in order, with the same factors, so every score keeps its bits.
+// - Deaths. A min-heap holds, per core record, a time no later than the first sweep at which
+//   its score could fall below the floor (from the closed-form decay, with a relative margin
+//   far wider than the rounding of the replayed chain). Each sweep settles the records due:
+//   dead ones are dropped at exactly the sweep the eager service would drop them, so
+//   tracked_cores() always matches it, and the survivors get a later check.
+//
+// Not thread-safe: PeekEvidence brings the record it reads up to date in place, which
+// changes no value any call returns.
 class CeeReportService {
  public:
   // `cores_on_machine` maps a machine id to its core count (for the uniform null).
@@ -63,16 +87,17 @@ class CeeReportService {
 
   void Report(const Signal& signal);
 
-  // Cores whose concentration is significant at `now`. Decays scores as a side effect.
+  // Cores whose concentration is significant at `now`, in ascending core order. Decays scores
+  // and drops dead records as a side effect.
   std::vector<SuspectCore> Suspects(SimTime now);
 
   // Forgets a core's accumulated score (call after quarantining/clearing it, so stale mass
   // doesn't immediately re-trigger suspicion).
   void Forget(uint64_t core_global);
 
-  // Decayed evidence snapshot for one core as of `now`, without mutating the record (no
-  // last_update advance, no decay-memo write): the adaptive screening allocator's risk probe.
-  // Returns zeros for untracked cores. Read-only and cheap — one hash lookup plus one exp2.
+  // Decayed evidence snapshot for one core as of `now`: the adaptive screening allocator's
+  // risk probe. Moves no record past the last sweep and leaves every later answer unchanged.
+  // Returns zeros for untracked cores.
   struct CoreEvidence {
     double score = 0.0;         // decayed weighted mass of all signals
     double direct_score = 0.0;  // decayed screen-fail-only mass
@@ -88,10 +113,8 @@ class CeeReportService {
   size_t tracked_cores() const { return core_records_.size(); }
 
  private:
-  // Memo for the per-step decay factor exp2(-dt / half_life). The per-tick sweep in
-  // Suspects() brings every record to a common last_update, so from the second sweep on
-  // every decay step is exactly one tick — the same exp2 input over and over. Keyed on the
-  // exact dt in seconds, so a hit returns bit-identical results to recomputing.
+  // Memo for the per-step decay factor exp2(-dt / half_life). Keyed on the exact dt in
+  // seconds, so a hit returns bit-identical results to recomputing.
   struct Exp2Memo {
     int64_t dt_seconds = -1;
     double factor = 1.0;
@@ -99,11 +122,11 @@ class CeeReportService {
     double Factor(SimTime dt, double half_life_days);
   };
 
-  struct DecayedScore {
-    double score = 0.0;
-    SimTime last_update;
-
-    void DecayTo(SimTime now, double half_life_days, Exp2Memo& memo);
+  // One Suspects() call: its time, and the decay factor from the previous sweep's time (the
+  // step every record that saw the previous sweep takes at this one).
+  struct Sweep {
+    SimTime time;
+    double factor = 1.0;
   };
 
   struct CoreRecord {
@@ -112,28 +135,60 @@ class CeeReportService {
     double direct_score = 0.0;  // decayed weighted mass from direct-evidence signals
     SimTime last_update;
     uint64_t machine = 0;
+    SimTime death_check;   // key of this record's live entry in deaths_
+    uint32_t synced = 0;   // sweeps_ index of the first sweep not yet applied
+    bool hot = false;      // member of hot_
 
-    void DecayTo(SimTime now, double half_life_days, Exp2Memo& memo);
+    void Scale(double factor) {
+      score *= factor;
+      raw_count *= factor;
+      direct_score *= factor;
+    }
   };
 
-  // Machine records live in a flat vector sorted by machine id: Suspects() decays every
-  // machine record every tick, and a contiguous sweep beats node-hopping a map. Nothing
-  // observable depends on this container's iteration order (decay is per-record independent
-  // and lookups are keyed), unlike core_records_, whose iteration order fixes the suspect
-  // emission order and is pinned by the golden traces.
   struct MachineRecord {
     uint64_t machine = 0;
-    DecayedScore score;
+    double score = 0.0;
+    SimTime last_update;
+    uint32_t synced = 0;
+
+    void Scale(double factor) { score *= factor; }
   };
-  // Returns the record for `machine`, inserting (sorted) if absent.
-  DecayedScore& MachineScore(uint64_t machine);
+
+  struct DeathCheck {
+    SimTime when;
+    uint64_t core = 0;
+
+    auto operator<=>(const DeathCheck&) const = default;
+  };
+
+  // Applies the sweeps `record` has not seen, exactly as the eager sweep applied them.
+  template <class Record>
+  void CatchUp(Record& record) const;
+  template <class Record>
+  void DecayTo(Record& record, SimTime now) const;
+  bool IsHot(const CoreRecord& record) const;
+  // Pushes `record`'s next death check, no earlier than `not_before`.
+  void ScheduleDeathCheck(uint64_t core, CoreRecord& record, SimTime not_before);
+  // Settles every death check due at the sweep at `now`.
+  void DropDeadRecords(SimTime now);
+  void Erase(uint64_t core);
+  // Returns the record for `machine`, inserting it if absent.
+  MachineRecord& MachineScore(uint64_t machine);
 
   ReportServiceOptions options_;
   std::function<uint32_t(uint64_t)> cores_on_machine_;
-  std::unordered_map<uint64_t, CoreRecord> core_records_;
-  std::vector<MachineRecord> machine_records_;  // sorted by machine id
+  // order-free: keyed lookups only; suspects come from hot_, deaths from deaths_.
+  mutable std::unordered_map<uint64_t, CoreRecord> core_records_;
+  // Machine records sorted by machine id, and the newest ones in arrival order until there
+  // are enough to merge in one pass: inserting each into the sorted vector moves half of it.
+  std::vector<MachineRecord> machine_records_;
+  std::vector<MachineRecord> new_machine_records_;
+  std::vector<Sweep> sweeps_;                   // every Suspects() call, in call order
+  std::set<uint64_t> hot_;                      // hot cores, ascending
+  std::priority_queue<DeathCheck, std::vector<DeathCheck>, std::greater<>> deaths_;
   uint64_t total_reports_ = 0;
-  Exp2Memo decay_memo_;
+  mutable Exp2Memo decay_memo_;
   TraceRecorder* trace_ = nullptr;
 };
 

@@ -1,8 +1,15 @@
 #include "src/durability/journal.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <utility>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "src/common/logging.h"
 #include "src/substrate/checksum.h"
@@ -32,7 +39,7 @@ struct Frame {
   size_t payload_len = 0;
   size_t frame_end = 0;  // offset one past the CRC
 
-  ByteReader Payload(const std::vector<uint8_t>& image) const {
+  ByteReader Payload(std::span<const uint8_t> image) const {
     return ByteReader(image.data() + payload_begin, payload_len);
   }
 };
@@ -48,7 +55,7 @@ struct FrameScan {
 // Scans the longest valid frame prefix; mutates nothing. Fails with DATA_LOSS when the prefix
 // does not open with a header frame of this magic and version, or holds no snapshot frame:
 // such an image proves no durable state at all.
-StatusOr<FrameScan> ScanFrames(const std::vector<uint8_t>& image) {
+StatusOr<FrameScan> ScanFrames(std::span<const uint8_t> image) {
   FrameScan scan;
   size_t offset = 0;
   while (offset < image.size()) {
@@ -155,21 +162,65 @@ void DurabilityManager::RegisterDeltaUnit(std::string name, SaveFn save, LoadFn 
   units_.push_back(std::move(unit));
 }
 
-void DurabilityManager::AppendFrame(JournalFrameType type, uint64_t tick,
-                                    const std::vector<uint8_t>& payload) {
-  const size_t start = buffer_.size();
-  ByteWriter w(buffer_);
-  w.PutU32(static_cast<uint32_t>(payload.size()));
+DurabilityManager::Image::~Image() {
+  if (data_ == nullptr) {
+    return;
+  }
+#if defined(__linux__)
+  munmap(data_, capacity_);
+#else
+  std::free(data_);
+#endif
+}
+
+void DurabilityManager::Image::Append(std::span<const uint8_t> bytes) {
+  if (bytes.size() > capacity_ - size_) {
+    constexpr size_t kMinCapacity = size_t{1} << 16;
+    const size_t capacity = std::max({size_ + bytes.size(), 2 * capacity_, kMinCapacity});
+#if defined(__linux__)
+    void* grown = data_ == nullptr ? mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+                                   : mremap(data_, capacity_, capacity, MREMAP_MAYMOVE);
+    MERCURIAL_CHECK(grown != MAP_FAILED) << "cannot map a journal image of " << capacity
+                                         << " bytes";
+#else
+    void* grown = std::realloc(data_, capacity);
+    MERCURIAL_CHECK(grown != nullptr) << "cannot allocate a journal image of " << capacity
+                                      << " bytes";
+#endif
+    data_ = static_cast<uint8_t*>(grown);
+    capacity_ = capacity;
+  }
+  if (!bytes.empty()) {  // memcpy from a null pointer is undefined even for zero bytes
+    std::memcpy(data_ + size_, bytes.data(), bytes.size());
+  }
+  size_ += bytes.size();
+}
+
+void DurabilityManager::Image::Truncate(size_t size) {
+  MERCURIAL_CHECK_LE(size, size_);
+  size_ = size;
+}
+
+void DurabilityManager::BeginFrame(JournalFrameType type, uint64_t tick) {
+  frame_.clear();
+  ByteWriter w(frame_);
+  w.PutU32(0);  // payload length, patched by EndFrame
   w.PutU8(static_cast<uint8_t>(type));
   w.PutU64(tick);
-  buffer_.insert(buffer_.end(), payload.begin(), payload.end());
-  const uint32_t crc = Crc32(buffer_.data() + start, buffer_.size() - start);
-  w.PutU32(crc);
+}
+
+void DurabilityManager::EndFrame() {
+  const auto payload_len = static_cast<uint32_t>(frame_.size() - kFramePrefixBytes);
+  std::memcpy(frame_.data(), &payload_len, sizeof(payload_len));
+  ByteWriter(frame_).PutU32(Crc32(frame_.data(), frame_.size()));
+  image_.Append(frame_);
   ++stats_.frames_written;
-  stats_.bytes_written += buffer_.size() - start;
+  stats_.bytes_written += frame_.size();
+  const auto type = static_cast<JournalFrameType>(frame_[4]);
   if (type == JournalFrameType::kSnapshot) {
     ++stats_.snapshots_written;
-    last_snapshot_end_ = buffer_.size();
+    last_snapshot_end_ = image_.size();
     tick_frames_at_last_snapshot_ = stats_.tick_frames_written;
   } else if (type == JournalFrameType::kTickDelta) {
     ++stats_.tick_frames_written;
@@ -177,20 +228,27 @@ void DurabilityManager::AppendFrame(JournalFrameType type, uint64_t tick,
   SyncFile();
 }
 
+void DurabilityManager::AppendFrame(JournalFrameType type, uint64_t tick,
+                                    const std::vector<uint8_t>& payload) {
+  BeginFrame(type, tick);
+  frame_.insert(frame_.end(), payload.begin(), payload.end());
+  EndFrame();
+}
+
 void DurabilityManager::WriteSnapshot(uint64_t tick) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
+  BeginFrame(JournalFrameType::kSnapshot, tick);
+  ByteWriter w(frame_);
   // Cumulative tick frames before this snapshot: recovery uses it to close the conservation
   // invariant frames_replayed + frames_truncated == tick frames written since the snapshot.
   w.PutU64(stats_.tick_frames_written);
   w.PutU32(static_cast<uint32_t>(units_.size()));
   for (Unit& unit : units_) {
-    std::vector<uint8_t> bytes;
-    bytes.reserve(unit.last_bytes.size() + 64);
-    ByteWriter unit_writer(bytes);
-    unit.save(unit_writer);
-    w.PutU32(static_cast<uint32_t>(bytes.size()));
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    const size_t length_at = frame_.size();
+    w.PutU32(0);  // the unit's length, patched once it is written
+    unit.save(w);
+    const size_t begin = length_at + sizeof(uint32_t);
+    const auto length = static_cast<uint32_t>(frame_.size() - begin);
+    std::memcpy(frame_.data() + length_at, &length, sizeof(length));
     if (unit.is_delta) {
       // The snapshot captures post-tick state; this tick's ops are subsumed by it, so they
       // are drained and discarded — a replay from this snapshot must not re-apply them.
@@ -198,15 +256,15 @@ void DurabilityManager::WriteSnapshot(uint64_t tick) {
       ByteWriter discard_writer(discard);
       unit.drain(discard_writer);
     } else {
-      unit.last_bytes = std::move(bytes);
+      unit.last_bytes.assign(frame_.begin() + static_cast<ptrdiff_t>(begin), frame_.end());
     }
   }
-  AppendFrame(JournalFrameType::kSnapshot, tick, payload);
+  EndFrame();
 }
 
 void DurabilityManager::WriteTickDelta(uint64_t tick) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(payload);
+  BeginFrame(JournalFrameType::kTickDelta, tick);
+  ByteWriter w(frame_);
   // Full units whose serialized state changed since their last journaled bytes. Comparing
   // serializations (not trusting mutation paths to self-report) means a forgotten dirty bit
   // is impossible by construction.
@@ -230,7 +288,7 @@ void DurabilityManager::WriteTickDelta(uint64_t tick) {
   for (auto& [index, bytes] : dirty) {
     w.PutU32(index);
     w.PutU32(static_cast<uint32_t>(bytes.size()));
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    frame_.insert(frame_.end(), bytes.begin(), bytes.end());
     units_[index].last_bytes = std::move(bytes);
   }
   uint32_t delta_count = 0;
@@ -250,9 +308,9 @@ void DurabilityManager::WriteTickDelta(uint64_t tick) {
     unit.drain(ops_writer);
     w.PutU32(i);
     w.PutU32(static_cast<uint32_t>(ops.size()));
-    payload.insert(payload.end(), ops.begin(), ops.end());
+    frame_.insert(frame_.end(), ops.begin(), ops.end());
   }
-  AppendFrame(JournalFrameType::kTickDelta, tick, payload);
+  EndFrame();
 }
 
 Status DurabilityManager::Start(uint64_t tick, const std::vector<uint8_t>& manifest) {
@@ -369,7 +427,7 @@ void DurabilityManager::RebuildCaches() {
 StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   // Classification of why the scan stopped (clean end, torn tail, corrupt frame) feeds the
   // loss accounting.
-  StatusOr<FrameScan> scan = ScanFrames(buffer_);
+  StatusOr<FrameScan> scan = ScanFrames(image_.bytes());
   if (!scan.ok()) {
     return scan.status();
   }
@@ -398,7 +456,8 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   }
 
   uint64_t tick_frames_before = 0;
-  if (Status s = ApplySnapshot(frames[snapshot_index].Payload(buffer_), &tick_frames_before);
+  if (Status s =
+          ApplySnapshot(frames[snapshot_index].Payload(image_.bytes()), &tick_frames_before);
       !s.ok()) {
     return s;
   }
@@ -408,7 +467,7 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
     if (frames[i].type != JournalFrameType::kTickDelta) {
       return DataLossError("non-tick frame after the recovered snapshot");
     }
-    if (Status s = ApplyTickDelta(frames[i].Payload(buffer_)); !s.ok()) {
+    if (Status s = ApplyTickDelta(frames[i].Payload(image_.bytes())); !s.ok()) {
       return s;
     }
     ++replayed;
@@ -448,14 +507,15 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   // Manifest: last valid manifest frame in the prefix (there is exactly one in practice).
   for (const Frame& frame : frames) {
     if (frame.type == JournalFrameType::kManifest) {
-      recovered_manifest_.assign(buffer_.begin() + frame.payload_begin,
-                                 buffer_.begin() + frame.payload_begin + frame.payload_len);
+      const std::span<const uint8_t> manifest =
+          image_.bytes().subspan(frame.payload_begin, frame.payload_len);
+      recovered_manifest_.assign(manifest.begin(), manifest.end());
     }
   }
 
   // Truncate to the durable prefix: everything after the last valid frame is untrusted. The
   // write cursor continues from here — recovery rewinds the journal as well as the state.
-  buffer_.resize(frames.back().frame_end);
+  image_.Truncate(frames.back().frame_end);
   last_snapshot_end_ = frames[snapshot_index].frame_end;
   tick_frames_at_last_snapshot_ = tick_frames_before;
   // Rewind the written-frame accounting to the durable prefix so post-recovery writes keep
@@ -468,24 +528,25 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
 }
 
 void DurabilityManager::TearTail(size_t bytes) {
-  MERCURIAL_CHECK_LE(last_snapshot_end_, buffer_.size());
-  const size_t tail = buffer_.size() - last_snapshot_end_;
+  MERCURIAL_CHECK_LE(last_snapshot_end_, image_.size());
+  const size_t tail = image_.size() - last_snapshot_end_;
   MERCURIAL_CHECK_LE(bytes, tail) << "torn tail cannot reach past the last snapshot";
-  buffer_.resize(buffer_.size() - bytes);
+  image_.Truncate(image_.size() - bytes);
   SyncFile();
 }
 
 void DurabilityManager::FlipBit(size_t byte_offset, int bit) {
   MERCURIAL_CHECK_GE(byte_offset, last_snapshot_end_) << "bit flips stay in the mutable tail";
-  MERCURIAL_CHECK_LT(byte_offset, buffer_.size());
+  MERCURIAL_CHECK_LT(byte_offset, image_.size());
   MERCURIAL_CHECK(bit >= 0 && bit < 8);
-  buffer_[byte_offset] ^= static_cast<uint8_t>(1u << bit);
+  image_.data()[byte_offset] ^= static_cast<uint8_t>(1u << bit);
   SyncFile();
 }
 
-void DurabilityManager::ReplaceBuffer(std::vector<uint8_t> bytes) {
+void DurabilityManager::ReplaceBuffer(const std::vector<uint8_t>& bytes) {
   MERCURIAL_CHECK(!started_) << "ReplaceBuffer is for recovery on a fresh manager";
-  buffer_ = std::move(bytes);
+  image_.Truncate(0);
+  image_.Append(bytes);
 }
 
 void DurabilityManager::SyncFile() const {
@@ -497,9 +558,9 @@ void DurabilityManager::SyncFile() const {
   // surface minimal.
   std::FILE* file = std::fopen(options_.path.c_str(), "wb");
   MERCURIAL_CHECK(file != nullptr) << "cannot open journal file " << options_.path;
-  if (!buffer_.empty()) {
-    const size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), file);
-    MERCURIAL_CHECK_EQ(written, buffer_.size()) << "short journal write " << options_.path;
+  if (image_.size() > 0) {
+    const size_t written = std::fwrite(image_.bytes().data(), 1, image_.size(), file);
+    MERCURIAL_CHECK_EQ(written, image_.size()) << "short journal write " << options_.path;
   }
   MERCURIAL_CHECK_EQ(std::fclose(file), 0);
 }

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,15 +143,17 @@ class DurabilityManager {
   // --- Chaos surface (journal_torn_tail / journal_bit_flip) --------------------------------
   // The mutable tail is everything after the most recent snapshot frame; damage there forces
   // prefix recovery without ever destroying the last full snapshot.
-  size_t size() const { return buffer_.size(); }
+  size_t size() const { return image_.size(); }
   size_t mutable_tail_start() const { return last_snapshot_end_; }
   void TearTail(size_t bytes);                 // drops `bytes` off the end (<= tail size)
   void FlipBit(size_t byte_offset, int bit);   // flips one bit inside the mutable tail
 
-  // Journal bytes (tests; the CLI loads a file instead). ReplaceBuffer installs an externally
-  // read journal image on a fresh manager before Recover().
-  const std::vector<uint8_t>& buffer() const { return buffer_; }
-  void ReplaceBuffer(std::vector<uint8_t> bytes);
+  // A copy of the journal bytes (tests and the CLI's re-run check). ReplaceBuffer installs an
+  // externally read journal image on a fresh manager before Recover().
+  std::vector<uint8_t> buffer() const {
+    return std::vector<uint8_t>(image_.bytes().begin(), image_.bytes().end());
+  }
+  void ReplaceBuffer(const std::vector<uint8_t>& bytes);
 
   // Manifest payload found during the last Recover() (empty before recovery).
   const std::vector<uint8_t>& recovered_manifest() const { return recovered_manifest_; }
@@ -173,6 +176,34 @@ class DurabilityManager {
     std::vector<uint8_t> last_bytes;  // full units: last journaled serialization
   };
 
+  // The journal image, one contiguous byte array. On Linux it is an anonymous mapping grown
+  // with mremap, which moves its pages instead of copying them, so a growing journal is
+  // resident once (elsewhere it grows with realloc). A std::vector would hold its old and its
+  // new copy together at each capacity doubling, putting up to twice the journal into a
+  // durable study's peak RSS, at whichever size that doubling happened to land.
+  class Image {
+   public:
+    Image() = default;
+    Image(const Image&) = delete;
+    Image& operator=(const Image&) = delete;
+    ~Image();
+
+    std::span<const uint8_t> bytes() const { return {data_, size_}; }
+    uint8_t* data() { return data_; }
+    size_t size() const { return size_; }
+    void Append(std::span<const uint8_t> bytes);
+    void Truncate(size_t size);  // keeps the first `size` bytes
+
+   private:
+    uint8_t* data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+  };
+
+  // BeginFrame starts frame_ with a frame's prefix; the caller appends the payload to frame_;
+  // EndFrame patches the payload length, appends the CRC and appends the frame to the image.
+  void BeginFrame(JournalFrameType type, uint64_t tick);
+  void EndFrame();
   void AppendFrame(JournalFrameType type, uint64_t tick, const std::vector<uint8_t>& payload);
   void WriteSnapshot(uint64_t tick);
   void WriteTickDelta(uint64_t tick);
@@ -184,7 +215,10 @@ class DurabilityManager {
 
   Options options_;
   std::vector<Unit> units_;
-  std::vector<uint8_t> buffer_;
+  Image image_;
+  // The frame being written, appended to the image whole. It keeps its capacity across
+  // frames, so the journal's bytes are resident in the image and at most one frame.
+  std::vector<uint8_t> frame_;
   std::vector<uint8_t> recovered_manifest_;
   size_t last_snapshot_end_ = 0;
   uint64_t tick_frames_at_last_snapshot_ = 0;

@@ -69,6 +69,7 @@ class ChecksummedStore {
 
   SimCore* server_core_;
   bool verify_on_write_;
+  // order-free: keyed lookups; ReverifySuspect only counts while scanning and sorts its keys.
   std::unordered_map<uint64_t, Blob> blobs_;
   StoreStats stats_;
 };

@@ -58,7 +58,7 @@ class ErasureCodedStore {
   std::vector<SimCore*> servers_;
   int data_shards_;
   int parity_shards_;
-  std::unordered_map<uint64_t, Blob> blobs_;
+  std::unordered_map<uint64_t, Blob> blobs_;  // order-free: keyed lookups only
   EcStoreStats stats_;
 };
 

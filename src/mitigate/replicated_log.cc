@@ -39,6 +39,7 @@ StatusOr<uint64_t> ReplicatedLog::Apply(uint64_t command) {
   }
 
   // Majority digest.
+  // order-free: only a strict majority is acted on, and at most one state can hold one.
   std::unordered_map<uint64_t, int> votes;
   for (uint64_t state : states_) {
     ++votes[state];

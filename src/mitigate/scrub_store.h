@@ -15,7 +15,7 @@
 #define MERCURIAL_SRC_MITIGATE_SCRUB_STORE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "src/common/status.h"
@@ -47,9 +47,9 @@ class ReplicatedBlobStore {
   // when none do, NOT_FOUND for unknown keys.
   StatusOr<std::vector<uint8_t>> Read(uint64_t key);
 
-  // One scrub pass: verify every replica of every blob; repair corrupt replicas by copying
-  // (through the destination server's core) from a verified-good replica. Returns the number
-  // of repairs performed.
+  // One scrub pass: verify every replica of every blob, in key order; repair corrupt replicas
+  // by copying (through the destination server's core) from a verified-good replica. Returns
+  // the number of repairs performed.
   uint64_t Scrub();
 
   const ScrubStoreStats& stats() const { return stats_; }
@@ -63,7 +63,7 @@ class ReplicatedBlobStore {
   };
 
   std::vector<SimCore*> servers_;
-  std::unordered_map<uint64_t, Blob> blobs_;
+  std::map<uint64_t, Blob> blobs_;  // ordered: repairs draw on the server cores in key order
   ScrubStoreStats stats_;
 };
 

@@ -11,7 +11,7 @@ PlacementPlanner::PlacementPlanner(std::vector<WorkloadProfile> profiles)
 }
 
 PlacementPlan PlacementPlanner::Plan(
-    const std::unordered_map<uint64_t, std::vector<ExecUnit>>& failed_units_by_core) const {
+    const std::map<uint64_t, std::vector<ExecUnit>>& failed_units_by_core) const {
   PlacementPlan plan;
   double reclaimed_sum = 0.0;
   for (const auto& [core, failed_units] : failed_units_by_core) {

@@ -18,7 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "src/sim/exec_unit.h"
@@ -51,9 +51,9 @@ class PlacementPlanner {
  public:
   explicit PlacementPlanner(std::vector<WorkloadProfile> profiles);
 
-  // Builds the plan for a set of retired cores given their confessed failed units.
-  PlacementPlan Plan(
-      const std::unordered_map<uint64_t, std::vector<ExecUnit>>& failed_units_by_core) const;
+  // Builds the plan for a set of retired cores given their confessed failed units. Decisions
+  // come out in ascending core order, and mean_reclaimed sums in that order.
+  PlacementPlan Plan(const std::map<uint64_t, std::vector<ExecUnit>>& failed_units_by_core) const;
 
   const std::vector<WorkloadProfile>& profiles() const { return profiles_; }
 

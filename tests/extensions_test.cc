@@ -1,6 +1,7 @@
 // Tests for the §9/§6.1/§4 extensions: selective replication, safe-task placement, the cost
 // tradeoff model, and the MCA log analyzer.
 
+#include <map>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -145,7 +146,7 @@ TEST(SelectiveTest, CriticalityNames) {
 
 TEST(PlacementTest, DisjointWorkloadsReclaimCapacity) {
   PlacementPlanner planner(PlacementPlanner::StandardProfiles());
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed;
+  std::map<uint64_t, std::vector<ExecUnit>> failed;
   failed[7] = {ExecUnit::kAes};  // crypto-only defect
   const PlacementPlan plan = planner.Plan(failed);
   ASSERT_EQ(plan.decisions.size(), 1u);
@@ -157,7 +158,7 @@ TEST(PlacementTest, DisjointWorkloadsReclaimCapacity) {
 
 TEST(PlacementTest, BroadDefectStrandsCore) {
   PlacementPlanner planner(PlacementPlanner::StandardProfiles());
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed;
+  std::map<uint64_t, std::vector<ExecUnit>> failed;
   // A load-path defect poisons almost everything that touches memory.
   failed[3] = {ExecUnit::kLoad, ExecUnit::kCopy, ExecUnit::kIntAlu,
                ExecUnit::kStore, ExecUnit::kFp, ExecUnit::kAes,
@@ -172,7 +173,7 @@ TEST(PlacementTest, BroadDefectStrandsCore) {
 
 TEST(PlacementTest, MixedPopulation) {
   PlacementPlanner planner(PlacementPlanner::StandardProfiles());
-  std::unordered_map<uint64_t, std::vector<ExecUnit>> failed;
+  std::map<uint64_t, std::vector<ExecUnit>> failed;
   failed[1] = {ExecUnit::kAes};
   failed[2] = {ExecUnit::kFp};
   failed[3] = {ExecUnit::kLoad};  // strands hash/locking/sorting/gc/db/kernel

@@ -777,7 +777,7 @@ int CmdRecover(int argc, const char* const* argv) {
   const StudyReport report = study.Run();
   PrintDurabilitySection(report.durability);
 
-  const std::vector<uint8_t>& rerun = study.durability()->buffer();
+  const std::vector<uint8_t> rerun = study.durability()->buffer();
   const bool prefix_matches =
       info.durable_prefix_bytes <= rerun.size() &&
       std::equal(image.begin(),
