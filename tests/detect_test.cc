@@ -1,4 +1,4 @@
-// Tests for src/detect: report service, confession testing, screening, quarantine policy.
+// Tests for src/detect: report service, confession testing, screening.
 
 #include <bit>
 #include <cmath>
@@ -14,7 +14,6 @@
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/detect/confession.h"
-#include "src/detect/quarantine.h"
 #include "src/detect/report_service.h"
 #include "src/detect/screening.h"
 #include "src/fleet/fleet.h"
@@ -971,157 +970,6 @@ TEST(ScreeningAdaptiveTest, EvidenceWinsThePriorityQueueUnderBudget) {
   ASSERT_EQ(emitted.size(), 1u) << "the admitted screen must be the defective, accused core";
   EXPECT_EQ(emitted[0].core_global, 7u);
   EXPECT_EQ(static_cast<int>(emitted[0].type), static_cast<int>(SignalType::kScreenFail));
-}
-
-// --- Quarantine manager -----------------------------------------------------------------------
-
-struct QuarantineHarness {
-  explicit QuarantineHarness(double rate_multiplier = 0.0)
-      : fleet(Fleet::Build([&] {
-          FleetOptions fleet_options;
-          fleet_options.machine_count = 4;
-          fleet_options.mercurial_rate_multiplier = rate_multiplier;
-          return fleet_options;
-        }())),
-        scheduler(fleet.core_count(), SchedulerCosts{}),
-        service(ReportServiceOptions{}, [this](uint64_t m) {
-          return static_cast<uint32_t>(fleet.machine(m).core_count());
-        }) {}
-
-  Fleet fleet;
-  CoreScheduler scheduler;
-  CeeReportService service;
-};
-
-TEST(QuarantineTest, DefectiveSuspectIsRetired) {
-  QuarantineHarness h;
-  h.fleet.PlantDefect(9, AlwaysFire(ExecUnit::kVector, DefectEffect::kBitFlip, 0.3));
-
-  QuarantinePolicy policy;
-  policy.confession.stress.iterations_per_unit = 128;
-  QuarantineManager manager(policy, Rng(1));
-  const std::vector<SuspectCore> suspects{{9, h.fleet.core_id(9).machine, 6.0, 1e-6}};
-  const auto verdicts = manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler,
-                                        h.service);
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_TRUE(verdicts[0].confessed);
-  EXPECT_TRUE(verdicts[0].retired);
-  EXPECT_EQ(static_cast<int>(h.scheduler.state(9)), static_cast<int>(CoreState::kRetired));
-  EXPECT_EQ(manager.stats().confessions, 1u);
-  EXPECT_FALSE(manager.failed_units().at(9).empty());
-  EXPECT_EQ(manager.retirement_times().at(9), SimTime::Days(3));
-}
-
-TEST(QuarantineTest, HealthySuspectIsReleased) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  QuarantineManager manager(policy, Rng(2));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  const auto verdicts = manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler,
-                                        h.service);
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_FALSE(verdicts[0].retired);
-  EXPECT_TRUE(h.scheduler.Schedulable(4));
-  EXPECT_EQ(manager.stats().releases, 1u);
-  EXPECT_EQ(manager.stats().false_positive_retirements, 0u);
-}
-
-TEST(QuarantineTest, RecidivismRetiresEvasiveCore) {
-  QuarantineHarness h;
-  // Evasive defect: narrow data trigger, tiny interrogation budget -> never confesses.
-  DefectSpec spec = AlwaysFire(ExecUnit::kIntAlu, DefectEffect::kBitFlip, 1.0);
-  spec.trigger.mask = 0xffffff;
-  spec.trigger.value = 0x123456;
-  h.fleet.PlantDefect(2, spec);
-
-  QuarantinePolicy policy;
-  policy.confession.stress.iterations_per_unit = 8;
-  policy.confession.max_attempts = 1;
-  policy.recidivism_retire_after = 3;
-  QuarantineManager manager(policy, Rng(3));
-
-  const std::vector<SuspectCore> suspects{{2, h.fleet.core_id(2).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_TRUE(h.scheduler.Schedulable(2)) << "first accusation: released";
-  manager.Process(SimTime::Days(2), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_TRUE(h.scheduler.Schedulable(2)) << "second accusation: released";
-  manager.Process(SimTime::Days(3), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_EQ(static_cast<int>(h.scheduler.state(2)), static_cast<int>(CoreState::kRetired))
-      << "third accusation: recidivism retirement";
-  EXPECT_EQ(manager.stats().recidivism_retirements, 1u);
-}
-
-TEST(QuarantineTest, NoConfessionRequiredRetiresOnSuspicion) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  policy.require_confession = false;
-  QuarantineManager manager(policy, Rng(4));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_EQ(static_cast<int>(h.scheduler.state(4)), static_cast<int>(CoreState::kRetired));
-  EXPECT_EQ(manager.stats().false_positive_retirements, 1u)
-      << "aggressive policy strands healthy capacity";
-}
-
-TEST(QuarantineTest, AlreadyRetiredSuspectsAreSkipped) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  policy.require_confession = false;
-  QuarantineManager manager(policy, Rng(5));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  manager.Process(SimTime::Days(1), suspects, h.fleet, h.scheduler, h.service);
-  const auto verdicts =
-      manager.Process(SimTime::Days(2), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_TRUE(verdicts.empty());
-  EXPECT_EQ(manager.stats().retirements, 1u);
-}
-
-TEST(QuarantineTest, ReaccusedCoreIsNotDoubleCountedInSuspectsProcessed) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  policy.recidivism_retire_after = 0;  // keep releasing so the core can be re-accused
-  QuarantineManager manager(policy, Rng(6));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  for (int day = 1; day <= 4; ++day) {
-    manager.Process(SimTime::Days(day), suspects, h.fleet, h.scheduler, h.service);
-  }
-  EXPECT_EQ(manager.stats().suspects_processed, 1u)
-      << "one distinct core, regardless of how many times it was re-accused";
-  EXPECT_EQ(manager.stats().accusations, 4u) << "every accusation event is still counted";
-  EXPECT_EQ(manager.stats().releases, 4u);
-}
-
-TEST(QuarantineTest, RecidivismBoundaryReleasesUntilThreshold) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  policy.recidivism_retire_after = 4;
-  QuarantineManager manager(policy, Rng(7));
-  // A healthy core never confesses, so every verdict is recidivism-driven.
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  for (int accusation = 1; accusation <= 3; ++accusation) {
-    manager.Process(SimTime::Days(accusation), suspects, h.fleet, h.scheduler, h.service);
-    EXPECT_TRUE(h.scheduler.Schedulable(4))
-        << "accusation " << accusation << " of retire_after - 1 must release";
-  }
-  EXPECT_EQ(manager.stats().recidivism_retirements, 0u);
-  manager.Process(SimTime::Days(4), suspects, h.fleet, h.scheduler, h.service);
-  EXPECT_EQ(static_cast<int>(h.scheduler.state(4)), static_cast<int>(CoreState::kRetired))
-      << "accusation number retire_after retires";
-  EXPECT_EQ(manager.stats().recidivism_retirements, 1u);
-}
-
-TEST(QuarantineTest, RecidivismZeroNeverRetiresByReaccusation) {
-  QuarantineHarness h;
-  QuarantinePolicy policy;
-  policy.recidivism_retire_after = 0;
-  QuarantineManager manager(policy, Rng(8));
-  const std::vector<SuspectCore> suspects{{4, h.fleet.core_id(4).machine, 6.0, 1e-6}};
-  for (int day = 1; day <= 8; ++day) {
-    manager.Process(SimTime::Days(day), suspects, h.fleet, h.scheduler, h.service);
-    ASSERT_TRUE(h.scheduler.Schedulable(4)) << "day " << day;
-  }
-  EXPECT_EQ(manager.stats().recidivism_retirements, 0u);
-  EXPECT_EQ(manager.stats().retirements, 0u);
 }
 
 TEST(SignalTest, TypeNames) {
