@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -280,15 +281,45 @@ void DefineStudyFlags(FlagSet& flags) {
                      "P(a controller crash also flips one bit in the journal tail)");
 }
 
-// The fleet-shape flags `study`, `recover` and `trace` all parse, checked before they are cast
-// into StudyOptions: a fleet without machines or a negative duration aborts inside the study,
-// and a negative count wraps to a huge unsigned value.
-Status ValidateFleetFlags(const FlagSet& flags) {
-  if (flags.GetInt("machines") < 1) {
-    return InvalidArgumentError("--machines must be >= 1");
+// An integer flag and the least value it accepts.
+struct FlagFloor {
+  const char* name;
+  int64_t min;
+};
+
+// The one rule for integer counts, checked before a flag is cast into an option: a count is
+// >= 0 (iterations and attempts >= 1, a fleet >= 1 machine), because a negative one wraps to a
+// huge unsigned value, and a fleet without machines or a negative duration aborts inside the
+// study.
+Status CheckFlagFloors(const FlagSet& flags, std::initializer_list<FlagFloor> floors) {
+  for (const FlagFloor& floor : floors) {
+    if (flags.GetInt(floor.name) < floor.min) {
+      return InvalidArgumentError(std::string("--") + floor.name + " must be >= " +
+                                  std::to_string(floor.min));
+    }
   }
-  if (flags.GetInt("days") < 0) {
-    return InvalidArgumentError("--days must be >= 0");
+  return Status::Ok();
+}
+
+// Prints a rejected flag's status and returns the exit code for it.
+int RejectFlags(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
+}
+
+// The shard count for a --shards value: 0 (auto) is one shard for one thread, otherwise 8
+// shards per thread so the dynamic scheduler can balance unevenly-loaded shards.
+int ResolveShards(int64_t shards, int threads) {
+  if (shards > 0) {
+    return static_cast<int>(shards);
+  }
+  return threads <= 1 ? 1 : 8 * threads;
+}
+
+// The fleet-shape flags `study`, `recover` and `trace` all parse.
+Status ValidateFleetFlags(const FlagSet& flags) {
+  if (Status bad = CheckFlagFloors(flags, {{"machines", 1}, {"days", 0}}); !bad.ok()) {
+    return bad;
   }
   const double multiplier = flags.GetDouble("multiplier");
   if (!std::isfinite(multiplier) || multiplier < 0.0) {
@@ -302,11 +333,12 @@ Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
   if (Status bad_fleet = ValidateFleetFlags(flags); !bad_fleet.ok()) {
     return bad_fleet;
   }
-  if (flags.GetInt("work-units") < 0) {
-    return InvalidArgumentError("--work-units must be >= 0");
-  }
-  if (flags.GetInt("screening-period") < 0) {
-    return InvalidArgumentError("--screening-period must be >= 0 (0 disables offline screening)");
+  if (Status bad_count = CheckFlagFloors(
+          flags, {{"work-units", 0}, {"screening-period", 0}, {"screen-budget-ops-per-day", 0},
+                  {"quarantine-queue", 0}, {"audit-repair-budget", 0}, {"audit-backlog", 0},
+                  {"trace-ring-capacity", 0}, {"snapshot-every", 0}});
+      !bad_count.ok()) {
+    return bad_count;
   }
   StudyOptions options;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
@@ -317,13 +349,8 @@ Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
   options.workload.payload_bytes = 256;
   options.burn_in = flags.GetBool("burn-in");
   options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.shards = static_cast<int>(flags.GetInt("shards"));
+  options.shards = ResolveShards(flags.GetInt("shards"), options.threads);
   options.sparse_engine = flags.GetBool("sparse-engine");
-  if (options.shards <= 0) {
-    // Auto: one shard for one thread; otherwise 8 shards per thread so the dynamic
-    // scheduler can balance unevenly-loaded shards.
-    options.shards = options.threads <= 1 ? 1 : 8 * options.threads;
-  }
   const int64_t period = flags.GetInt("screening-period");
   options.screening.offline_enabled = period > 0;
   if (period > 0) {
@@ -391,9 +418,6 @@ Status BuildStudyOptions(const FlagSet& flags, StudyOptions* out) {
       static_cast<int>(flags.GetInt("chaos-controller-crash-every"));
   options.control_plane.chaos.journal_torn_tail = flags.GetDouble("chaos-journal-torn-tail");
   options.control_plane.chaos.journal_bit_flip = flags.GetDouble("chaos-journal-bit-flip");
-  if (flags.GetInt("snapshot-every") < 0) {
-    return InvalidArgumentError("--snapshot-every must be >= 0");
-  }
   options.durability.snapshot_every = static_cast<uint64_t>(flags.GetInt("snapshot-every"));
   options.durability.journal_path = flags.GetString("journal");
   options.durability.enabled = flags.GetBool("durable") ||
@@ -487,8 +511,7 @@ int CmdStudy(int argc, const char* const* argv) {
   }
   StudyOptions options;
   if (Status bad = BuildStudyOptions(flags, &options); !bad.ok()) {
-    std::fprintf(stderr, "%s\n", bad.ToString().c_str());
-    return 1;
+    return RejectFlags(bad);
   }
   if (options.durability.enabled) {
     options.durability.manifest = EncodeArgvManifest(argc, argv);
@@ -763,8 +786,7 @@ int CmdRecover(int argc, const char* const* argv) {
   }
   StudyOptions options;
   if (Status bad = BuildStudyOptions(study_flags, &options); !bad.ok()) {
-    std::fprintf(stderr, "%s\n", bad.ToString().c_str());
-    return 1;
+    return RejectFlags(bad);
   }
   options.durability.enabled = true;
   options.durability.journal_path.clear();
@@ -837,8 +859,10 @@ int CmdTrace(int argc, const char* const* argv) {
     return 1;
   }
   if (Status bad_fleet = ValidateFleetFlags(flags); !bad_fleet.ok()) {
-    std::fprintf(stderr, "%s\n", bad_fleet.ToString().c_str());
-    return 1;
+    return RejectFlags(bad_fleet);
+  }
+  if (Status bad_count = CheckFlagFloors(flags, {{"ring-capacity", 0}}); !bad_count.ok()) {
+    return RejectFlags(bad_count);
   }
 
   StudyOptions options;
@@ -850,17 +874,12 @@ int CmdTrace(int argc, const char* const* argv) {
   options.workload.payload_bytes = 256;
   options.screening.offline_period = SimTime::Days(30);
   options.threads = static_cast<int>(flags.GetInt("threads"));
-  options.shards = static_cast<int>(flags.GetInt("shards"));
-  if (options.shards <= 0) {
-    options.shards = options.threads <= 1 ? 1 : 8 * options.threads;
-  }
+  options.shards = ResolveShards(flags.GetInt("shards"), options.threads);
   options.audit.enabled = flags.GetBool("audit");
   options.trace.enabled = true;
   options.trace.ring_capacity = static_cast<size_t>(flags.GetInt("ring-capacity"));
-  const Status bad_trace = options.trace.Validate();
-  if (!bad_trace.ok()) {
-    std::fprintf(stderr, "%s\n", bad_trace.ToString().c_str());
-    return 1;
+  if (Status bad_trace = options.trace.Validate(); !bad_trace.ok()) {
+    return RejectFlags(bad_trace);
   }
 
   FleetStudy study(options);
@@ -904,10 +923,13 @@ int CmdInterrogate(int argc, const char* const* argv) {
     std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
     return 1;
   }
+  if (Status bad_count = CheckFlagFloors(flags, {{"iterations", 1}, {"attempts", 1}});
+      !bad_count.ok()) {
+    return RejectFlags(bad_count);
+  }
   const auto klass = FindDefectClass(flags.GetString("defect"));
   if (!klass.ok()) {
-    std::fprintf(stderr, "%s\n", klass.status().ToString().c_str());
-    return 1;
+    return RejectFlags(klass.status());
   }
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
@@ -950,14 +972,17 @@ int CmdScreen(int argc, const char* const* argv) {
     return 1;
   }
 
+  if (Status bad_count = CheckFlagFloors(flags, {{"iterations", 1}}); !bad_count.ok()) {
+    return RejectFlags(bad_count);
+  }
+
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
   SimCore core(1, rng.Split(1));
   const std::string defect_name = flags.GetString("defect");
   if (!defect_name.empty()) {
     const auto klass = FindDefectClass(defect_name);
     if (!klass.ok()) {
-      std::fprintf(stderr, "%s\n", klass.status().ToString().c_str());
-      return 1;
+      return RejectFlags(klass.status());
     }
     CatalogOptions catalog;
     catalog.p_latent = 0.0;
