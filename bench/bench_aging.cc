@@ -91,8 +91,7 @@ int main() {
     csv.Row({strategy.label, CsvWriter::Num(caught),
              CsvWriter::Num(report.detection_latency_days.Quantile(0.5)),
              CsvWriter::Num(report.detection_latency_days.Quantile(0.9)),
-             CsvWriter::Num(report.screen_failures +
-                            study.metrics().counter("signals.screen_fail"))});
+             CsvWriter::Num(report.screen_failures)});
   }
 
   std::printf("# expected shape: burn-in-only catches the born-bad cores but misses every\n");

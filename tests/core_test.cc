@@ -116,8 +116,32 @@ TEST(FleetStudyTest, BurnInCatchesActiveDefectsEarly) {
   const StudyReport report_with = study_with.Run();
   const StudyReport report_without = study_without.Run();
   // Burn-in screens every core at t=0, so cumulative screen failures can only be >=.
-  EXPECT_GE(report_with.screen_failures + study_with.metrics().counter("signals.screen_fail"),
-            report_without.screen_failures);
+  EXPECT_GE(report_with.screen_failures, report_without.screen_failures);
+}
+
+// Burn-in is its own screen: it runs with offline screening off, and its battery ops and
+// failures are charged like any other screen's.
+TEST(FleetStudyTest, BurnInScreensWithOfflineScreeningOff) {
+  StudyOptions options = SmallStudy(9);
+  options.duration = SimTime::Days(1);
+  options.screening.offline_enabled = false;
+  options.screening.online_enabled = false;
+  options.screening.initial_coverage.clear();
+  for (int u = 0; u < kExecUnitCount; ++u) {
+    options.screening.initial_coverage.push_back(static_cast<ExecUnit>(u));
+  }
+  options.screening.coverage_schedule.clear();
+  StudyOptions without = options;
+  options.burn_in = true;
+
+  FleetStudy study(options);
+  const StudyReport report = study.Run();
+  const StudyReport baseline = FleetStudy(without).Run();
+  EXPECT_EQ(baseline.screening_ops, 0u) << "nothing screens without burn-in";
+  EXPECT_GT(report.screening_ops, 0u) << "the burn-in battery's ops are charged";
+  EXPECT_GT(report.screen_failures, 0u) << "full coverage at t=0 catches active defects";
+  EXPECT_EQ(report.screen_failures, study.metrics().counter("signals.screen_fail"))
+      << "each burn-in failure is counted once";
 }
 
 TEST(FleetStudyTest, CatalogOverrideShapesDefectPopulation) {
