@@ -61,9 +61,10 @@ struct ChaosOptions {
   // can die mid-study and must recover from its write-ahead journal. Crash decisions are
   // drawn from a stateless counter-keyed stream of (seed, tick), never from the injector's
   // sequential stream, so a crashed-and-recovered study stays bit-identical to an uncrashed
-  // one. These knobs deliberately do NOT participate in enabled(): flipping enabled() would
-  // make the report-path injector start consuming Bernoulli draws for its zero-rate knobs
-  // and silently shift every stream.
+  // one. These knobs stay out of enabled(), which gates only two things: whether the plane's
+  // Report passes a signal straight to the report service (InjectReport draws nothing for a
+  // zero-rate knob, so that choice moves no stream), and whether mercurialctl prints its
+  // control-plane section. Folding them in would add that section to a crash-only run.
   double controller_crash_per_day = 0.0;  // P per day that the controller dies and recovers
   int controller_crash_every_ticks = 0;   // deterministic: crash after every k-th tick (0=off)
   double journal_torn_tail = 0.0;  // P(a crash also tears bytes off the journal tail)
