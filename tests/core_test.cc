@@ -104,6 +104,38 @@ TEST(FleetStudyTest, ObservableSymptomsGenerateSignals) {
   EXPECT_GT(study.metrics().counter("signals.background"), 0u);
 }
 
+// metrics() exports the engine counters the report lacks. Benches and fleetbench read them by
+// name, and a dropped or renamed export would read 0 there without failing anything.
+TEST(FleetStudyTest, ExportsTheEngineCountersReadOutsideTheLibrary) {
+  StudyOptions options = SmallStudy(13);
+  options.sparse_engine = true;
+  options.screening.adaptive = true;
+  FleetStudy study(options);
+  study.Run();
+  const MetricRegistry& metrics = study.metrics();
+
+  uint64_t signals = 0;
+  for (const auto& [name, count] : metrics.CountersWithPrefix("signals.")) {
+    signals += count;
+  }
+  EXPECT_GT(signals, 0u);
+  for (const char* name :
+       {"screening.wheel_scheduled", "screening.wheel_drained",
+        "screening.wheel_overflow_inserts", "production.active_admitted",
+        "production.latent_at_end", "screening.risk_rescores", "screening.risk_admitted",
+        "screening.risk_deferred", "screening.risk_hot_screens"}) {
+    EXPECT_EQ(metrics.counters().count(name), 1u) << name;
+  }
+  for (const char* name : {"screening.wheel_max_bucket", "screening.wheel_peak_occupancy"}) {
+    EXPECT_EQ(metrics.gauges().count(name), 1u) << name;
+  }
+  EXPECT_GT(metrics.counter("screening.wheel_drained"), 0u);
+  EXPECT_GT(metrics.gauge_max("screening.wheel_peak_occupancy"), 0u);
+  EXPECT_GT(metrics.counter("production.active_admitted"), 0u);
+  EXPECT_GT(metrics.counter("screening.risk_rescores"), 0u);
+  EXPECT_GT(metrics.counter("screening.risk_admitted"), 0u);
+}
+
 TEST(FleetStudyTest, BurnInCatchesActiveDefectsEarly) {
   StudyOptions with = SmallStudy(9);
   with.burn_in = true;
