@@ -36,30 +36,6 @@ void Histogram::Add(double value) {
   }
 }
 
-void Histogram::Merge(const Histogram& other) {
-  MERCURIAL_CHECK_EQ(lo_, other.lo_);
-  MERCURIAL_CHECK_EQ(hi_, other.hi_);
-  MERCURIAL_CHECK_EQ(buckets_.size(), other.buckets_.size());
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_squares_ += other.sum_squares_;
-}
-
 double Histogram::stddev() const {
   if (count_ < 2) {
     return 0.0;
@@ -112,17 +88,6 @@ void TimeSeries::Add(SimTime when, double value) {
   }
   buckets_[index].sum += value;
   ++buckets_[index].samples;
-}
-
-void TimeSeries::Merge(const TimeSeries& other) {
-  MERCURIAL_CHECK_EQ(period_.seconds(), other.period_.seconds());
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size());
-  }
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i].sum += other.buckets_[i].sum;
-    buckets_[i].samples += other.buckets_[i].samples;
-  }
 }
 
 double TimeSeries::bucket_mean(size_t i) const {

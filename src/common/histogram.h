@@ -37,12 +37,6 @@ class Histogram {
   uint64_t overflow() const { return overflow_; }
   double bucket_lo(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
 
-  // Accumulates `other` into this histogram. Both must have the same shape (lo, hi, bucket
-  // count). Merging is associative and commutative over bucket counts; `sum`/`sum_squares`
-  // accumulate in merge order, so a fixed merge order (shard index) keeps floating-point
-  // results bit-stable.
-  void Merge(const Histogram& other);
-
   std::string ToString() const;
 
   bool operator==(const Histogram&) const = default;
@@ -78,10 +72,6 @@ class TimeSeries {
 
   // Sums across all buckets.
   double total() const;
-
-  // Accumulates `other` (same period required) bucket-wise into this series, extending the
-  // bucket range as needed.
-  void Merge(const TimeSeries& other);
 
   // Returns per-bucket sums divided by `denominator` (e.g. machine count for per-machine rates),
   // then optionally normalized so the first non-empty bucket maps to 1.0 — the "normalized to an

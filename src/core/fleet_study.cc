@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/common/thread_pool.h"
@@ -11,11 +13,6 @@
 namespace mercurial {
 namespace {
 
-// Signal sink that records incidents into the Fig. 1 series. kUserReport counts as
-// user-reported; kScreenFail counts as automatically-reported; the rest feed suspicion only.
-constexpr const char* kUserSeries = "incidents.user_reported";
-constexpr const char* kAutoSeries = "incidents.auto_reported";
-
 // Capacity of the machine-check log ring (McaLog overwrites its oldest record when full).
 constexpr size_t kMcaLogCapacity = 4096;
 
@@ -23,6 +20,11 @@ constexpr size_t kMcaLogCapacity = 4096;
 // delay before a human files a suspicion.
 constexpr double kSanitizerProbability = 0.25;
 constexpr SimTime kHumanReportMeanDelay = SimTime::Days(10);
+
+// `signals.<name>` export names, indexed by FleetStudy::SignalSource.
+constexpr const char* kSignalSourceNames[] = {"crash",      "sanitizer",  "machine_check",
+                                              "app_report", "background", "screen_fail",
+                                              "user_report"};
 
 // The study owns the provenance-epoch granularity: one epoch per tick, so the repair
 // pipeline's suspect window maps 1:1 onto ledger entries.
@@ -37,39 +39,30 @@ RepairOptions ResolveAuditOptions(const StudyOptions& options) {
 // Everything one shard's production + noise pass may produce, buffered so the tick's side
 // effects can be applied to the shared services serially in shard-index order. Buffers are
 // pooled across the study's ticks (one per shard): Reset() clears values but keeps vector
-// capacity and interned metric handles, so steady-state ticks allocate nothing.
+// capacity, so steady-state ticks allocate nothing.
 struct FleetStudy::ShardDelta {
   uint64_t symptom_counts[kSymptomCount] = {};
   uint64_t work_units_executed = 0;
   uint64_t silent_corruptions = 0;
   uint64_t probation_work_declined = 0;
+  uint64_t signal_counts[kSignalSourceCount] = {};  // only the shard-side sources move
   std::vector<Signal> signals;               // suspect-service reports, in emission order
   std::vector<McaRecord> mca_records;        // machine-check telemetry, in emission order
   std::vector<PendingHumanReport> human_reports;
-  MetricRegistry metrics;                    // counter increments only
   BlastRadiusLedger ledger;                  // provenance tags (audit-enabled studies only)
   ShardScreenOutcome screen;                 // replaced, not reset, by each tick's TickShard
 
-  // Hot-counter handles, resolved once per pooled buffer instead of once per event.
-  MetricId crash_id = metrics.Intern("signals.crash");
-  MetricId sanitizer_id = metrics.Intern("signals.sanitizer");
-  MetricId machine_check_id = metrics.Intern("signals.machine_check");
-  MetricId app_report_id = metrics.Intern("signals.app_report");
-  MetricId silent_id = metrics.Intern("corruption.silent");
-  MetricId background_id = metrics.Intern("signals.background");
-
-  // Clear-and-reuse between ticks. Vectors keep their high-water capacity — the previous
-  // tick's event counts are the reserve hint for the next one — and zeroed interned counters
-  // merge as if freshly constructed (MetricRegistry::Merge skips zeros).
+  // Clear-and-reuse between ticks. Vectors keep their high-water capacity: the previous
+  // tick's event counts are the reserve hint for the next one.
   void Reset() {
     std::fill(std::begin(symptom_counts), std::end(symptom_counts), uint64_t{0});
     work_units_executed = 0;
     silent_corruptions = 0;
     probation_work_declined = 0;
+    std::fill(std::begin(signal_counts), std::end(signal_counts), uint64_t{0});
     signals.clear();
     mca_records.clear();
     human_reports.clear();
-    metrics.ResetForReuse();
     ledger.Clear();
   }
 };
@@ -97,11 +90,6 @@ FleetStudy::FleetStudy(StudyOptions options)
   report_.machines = fleet_.machine_count();
   report_.cores = fleet_.core_count();
   report_.true_mercurial_cores = fleet_.mercurial_cores().size();
-
-  screen_fail_id_ = metrics_.Intern("signals.screen_fail");
-  user_report_id_ = metrics_.Intern("signals.user_report");
-  user_series_ = &metrics_.Series(kUserSeries);
-  auto_series_ = &metrics_.Series(kAutoSeries);
 
   if (options_.audit.enabled) {
     // Repair executors are drawn from the real fleet, which still contains unconvicted
@@ -179,11 +167,11 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
   switch (symptom) {
     case Symptom::kCrash: {
       delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kCrash});
-      delta.metrics.Increment(delta.crash_id);
+      ++delta.signal_counts[kCrashSource];
       TraceSignal(core_index, TraceCause::kCrashSignal);
       if (rng.Bernoulli(kSanitizerProbability)) {
         delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kSanitizer});
-        delta.metrics.Increment(delta.sanitizer_id);
+        ++delta.signal_counts[kSanitizerSource];
         TraceSignal(core_index, TraceCause::kSanitizerSignal);
       }
       if (rng.Bernoulli(options_.crash_human_report_probability)) {
@@ -193,7 +181,7 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
     }
     case Symptom::kMachineCheck: {
       delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kMachineCheck});
-      delta.metrics.Increment(delta.machine_check_id);
+      ++delta.signal_counts[kMachineCheckSource];
       TraceSignal(core_index, TraceCause::kMachineCheckSignal);
       // Structured MCA telemetry: the reporting bank is the defective unit, unless the
       // hardware's bank mapping scrambles it.
@@ -221,7 +209,7 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
     case Symptom::kDetectedLate:
       if (rng.Bernoulli(options_.app_report_probability)) {
         delta.signals.push_back(Signal{now, id.machine, core_index, SignalType::kAppReport});
-        delta.metrics.Increment(delta.app_report_id);
+        ++delta.signal_counts[kAppReportSource];
         TraceSignal(core_index, TraceCause::kAppReport);
       }
       if (symptom == Symptom::kDetectedLate &&
@@ -231,7 +219,6 @@ void FleetStudy::HandleSymptom(SimTime now, uint64_t core_index, Symptom symptom
       break;
     case Symptom::kSilentCorruption: {
       ++delta.silent_corruptions;
-      delta.metrics.Increment(delta.silent_id);
       // No signal leaves the machine; traced anyway so escapes stay visible in the timeline.
       TraceSignal(core_index, TraceCause::kSilentCorruption);
       // "Wrong answers that are never detected" — except when a downstream consumer
@@ -347,7 +334,7 @@ void FleetStudy::EmitBackgroundNoiseShard(SimTime now, SimTime dt, uint64_t core
       type = SignalType::kAppReport;
     }
     delta.signals.push_back(Signal{now, id.machine, core_index, type});
-    delta.metrics.Increment(delta.background_id);
+    ++delta.signal_counts[kBackgroundSource];
     TraceSignal(core_index, TraceCause::kBackgroundNoise, static_cast<uint64_t>(type));
   }
 }
@@ -365,6 +352,9 @@ void FleetStudy::ApplyShardDelta(ShardDelta& delta) {
   report_.work_units_executed += delta.work_units_executed;
   report_.silent_corruptions += delta.silent_corruptions;
   report_.probation_work_declined += delta.probation_work_declined;
+  for (int source = 0; source < kSignalSourceCount; ++source) {
+    signal_counts_[source] += delta.signal_counts[source];
+  }
   if (options_.audit.enabled) {
     ledger_.MergeFrom(delta.ledger);
   }
@@ -378,7 +368,6 @@ void FleetStudy::ApplyShardDelta(ShardDelta& delta) {
   for (const PendingHumanReport& pending : delta.human_reports) {
     pending_human_reports_.push_back(pending);
   }
-  metrics_.Merge(delta.metrics);
 }
 
 void FleetStudy::ApplyScreenOutcome(SimTime now, const ShardScreenOutcome& outcome) {
@@ -386,8 +375,8 @@ void FleetStudy::ApplyScreenOutcome(SimTime now, const ShardScreenOutcome& outco
   // service; replayed here in shard order so cost accounting is thread-count independent.
   outcome.ApplyDrains(scheduler_);
   for (const Signal& signal : outcome.failures) {
-    auto_series_->Add(now, 1.0);
-    metrics_.Increment(screen_fail_id_);
+    auto_series_.Add(now, 1.0);
+    ++signal_counts_[kScreenFailSource];
     NoteSignalForAudit(signal);
     control_plane_.Report(signal, service_);
   }
@@ -401,8 +390,8 @@ void FleetStudy::FlushHumanReports(SimTime now) {
   for (auto it = due; it != pending_human_reports_.end(); ++it) {
     NoteSignalForAudit(it->signal);
     control_plane_.Report(it->signal, service_);
-    metrics_.Increment(user_report_id_);
-    user_series_->Add(now, 1.0);
+    ++signal_counts_[kUserReportSource];
+    user_series_.Add(now, 1.0);
     TraceSignal(it->signal.core_global, TraceCause::kUserReportSignal);
   }
   pending_human_reports_.erase(due, pending_human_reports_.end());
@@ -418,7 +407,6 @@ void FleetStudy::ProcessSuspects(SimTime now, const ActivationTimes& activation_
       const SimTime activated = it == activation_time.end() ? SimTime::Seconds(0) : it->second;
       const double latency_days = std::max(0.0, (now - activated).days());
       report_.detection_latency_days.Add(latency_days);
-      metrics_.Increment("quarantine.true_retirements");
     }
   }
   if (options_.audit.enabled) {
@@ -464,8 +452,8 @@ void FleetStudy::RunBurnIn() {
   // Pre-deployment acceptance testing: one thorough screen of every core at t=0 with
   // whatever corpus coverage exists at t=0, whether or not lifetime screening is on.
   auto emit = [&](const Signal& signal) {
-    auto_series_->Add(signal.time, 1.0);
-    metrics_.Increment(screen_fail_id_);
+    auto_series_.Add(signal.time, 1.0);
+    ++signal_counts_[kScreenFailSource];
     ++report_.screen_failures;
     NoteSignalForAudit(signal);
     control_plane_.Report(signal, service_);
@@ -554,8 +542,8 @@ void FleetStudy::RunTicks(SimClock& clock, int64_t ticks, int shards, int thread
     });
 
     // Merge barrier: apply buffered effects in shard-index order — the one fixed order that
-    // makes the suspect service, MCA ring, and metric registry see an identical event
-    // sequence no matter how the shards were scheduled onto threads.
+    // makes the suspect service, MCA ring, and signal counts see an identical event sequence
+    // no matter how the shards were scheduled onto threads.
     for (ShardDelta& delta : deltas) {
       ApplyShardDelta(delta);
     }
@@ -717,81 +705,23 @@ void FleetStudy::Finalize() {
   report_.control_plane.probation_pending_at_end = control_plane_.probation_count();
   report_.scheduler = scheduler_.stats();
 
-  // Control-plane health as metrics: peaks are max-gauges (Merge takes max), event totals are
-  // counters.
-  metrics_.ObserveMax("control_plane.queue_peak", report_.control_plane.queue_peak);
-  metrics_.ObserveMax("control_plane.peak_pending_isolation",
-                      report_.control_plane.peak_pending_isolation);
-  metrics_.Increment("control_plane.suspects_shed", report_.control_plane.suspects_shed);
-  metrics_.Increment("control_plane.retries_scheduled", report_.control_plane.retries_scheduled);
-  metrics_.Increment("control_plane.drain_escalations",
-                     report_.control_plane.drain_escalations);
-  metrics_.Increment("control_plane.guardrail_releases",
-                     report_.control_plane.guardrail_releases);
-  metrics_.Increment("chaos.reports_dropped", report_.control_plane.chaos.reports_dropped);
-  metrics_.Increment("chaos.reports_delayed", report_.control_plane.chaos.reports_delayed);
-  metrics_.Increment("chaos.reports_duplicated",
-                     report_.control_plane.chaos.reports_duplicated);
-  metrics_.Increment("chaos.interrogations_aborted",
-                     report_.control_plane.chaos.interrogations_aborted);
-  metrics_.Increment("chaos.machine_restarts", report_.control_plane.chaos.machine_restarts);
-
-  if (options_.control_plane.quorum.enabled) {
-    metrics_.Increment("quorum.judgments", report_.control_plane.quorum.judgments);
-    metrics_.Increment("quorum.votes_cast", report_.control_plane.quorum.votes_cast);
-    metrics_.Increment("quorum.splits", report_.control_plane.quorum.splits);
-    metrics_.Increment("quorum.escalations", report_.control_plane.quorum.escalations);
-    metrics_.Increment("quorum.fallbacks", report_.control_plane.quorum.fallbacks);
-    metrics_.Increment("quorum.overrides", report_.control_plane.quorum.overrides);
-  }
-  if (options_.control_plane.probation.enabled) {
-    metrics_.Increment("probation.entries", report_.quarantine.probation_entries);
-    metrics_.Increment("probation.escalations", report_.quarantine.probation_escalations);
-    metrics_.Increment("probation.reinstatements", report_.quarantine.reinstatements);
-    metrics_.Increment("probation.pending_at_end",
-                       report_.control_plane.probation_pending_at_end);
-    metrics_.Increment("probation.work_declined", report_.probation_work_declined);
-  }
-  if (options_.control_plane.chaos.verdict_enabled()) {
-    metrics_.Increment("chaos.witnesses_lied", report_.control_plane.chaos.witnesses_lied);
-    metrics_.Increment("chaos.witnesses_crashed",
-                       report_.control_plane.chaos.witnesses_crashed);
-    metrics_.Increment("chaos.probation_signals_suppressed",
-                       report_.control_plane.chaos.probation_signals_suppressed);
-  }
-
   report_.audit_enabled = options_.audit.enabled;
   if (options_.audit.enabled) {
     repair_.FinalizeAccounting(ledger_);
     report_.artifacts_tagged = ledger_.artifacts_recorded();
     report_.corruptions_tagged = ledger_.corrupt_recorded();
     report_.repair = repair_.stats();
-    metrics_.Increment("audit.artifacts_tagged", report_.artifacts_tagged);
-    metrics_.Increment("audit.corruptions_tagged", report_.corruptions_tagged);
-    metrics_.Increment("repair.convictions", report_.repair.convictions);
-    metrics_.Increment("repair.suspect_epochs", report_.repair.suspect_epochs);
-    metrics_.Increment("repair.suspect_artifacts", report_.repair.suspect_artifacts);
-    metrics_.Increment("repair.artifacts_reverified", report_.repair.artifacts_reverified);
-    metrics_.Increment("repair.artifacts_reexecuted", report_.repair.artifacts_reexecuted);
-    metrics_.Increment("repair.retries_scheduled", report_.repair.retries_scheduled);
-    metrics_.Increment("repair.epochs_shed", report_.repair.epochs_shed);
-    metrics_.Increment("repair.reinstated_epochs_cancelled",
-                       report_.repair.reinstated_epochs_cancelled);
-    metrics_.Increment("repair.corruptions_repaired", report_.repair.corruptions_repaired);
-    metrics_.Increment("repair.corruptions_shed", report_.repair.corruptions_shed);
-    metrics_.Increment("repair.corruptions_still_at_rest",
-                       report_.repair.corruptions_still_at_rest);
-    metrics_.ObserveMax("repair.backlog_peak", report_.repair.backlog_peak);
-    metrics_.Increment("chaos.reverify_misses", report_.repair.chaos.reverify_misses);
-    metrics_.Increment("chaos.defective_repairs", report_.repair.chaos.defective_repairs);
-    metrics_.Increment("chaos.partial_repairs", report_.repair.chaos.partial_repairs);
   }
 
+  // The engine counters the report lacks, exported once: signals by source always, the
+  // due-wheel and active-index counts under the sparse engine (the dense oracle has neither),
+  // and the allocator's counts under adaptive screening. Benches and fleetbench read them.
+  static_assert(std::size(kSignalSourceNames) == kSignalSourceCount);
+  for (int source = 0; source < kSignalSourceCount; ++source) {
+    metrics_.Increment(std::string("signals.") + kSignalSourceNames[source],
+                       signal_counts_[source]);
+  }
   if (options_.sparse_engine) {
-    // Sparse-engine health counters. These exist only under the sparse engine (the dense
-    // oracle has no wheel), which is safe because StudyReport carries no metric map — D10's
-    // field-by-field comparison is unaffected. The parallel bench exports them as the wheel
-    // occupancy stats in BENCH_parallel.json.
     const DueWheelStats wheel = screening_.wheel_stats();
     metrics_.Increment("screening.wheel_scheduled", wheel.scheduled);
     metrics_.Increment("screening.wheel_drained", wheel.drained);
@@ -804,8 +734,6 @@ void FleetStudy::Finalize() {
   }
 
   if (options_.screening.adaptive) {
-    // Adaptive-allocator counters; absent (not zero) on the legacy path, same contract as
-    // the sparse-engine block above.
     const ScreeningRiskStats& risk = screening_.risk_stats();
     metrics_.Increment("screening.risk_rescores", risk.rescores);
     metrics_.Increment("screening.risk_admitted", risk.admitted);
@@ -819,10 +747,6 @@ void FleetStudy::Finalize() {
 
   if (trace_ != nullptr) {
     report_.trace = trace_->Assemble();
-    metrics_.Increment("trace.events_emitted", report_.trace.counters.events_emitted);
-    metrics_.Increment("trace.events_recorded", report_.trace.counters.events_recorded);
-    metrics_.Increment("trace.events_dropped", report_.trace.counters.events_dropped);
-    metrics_.Increment("trace.events_sampled_out", report_.trace.counters.events_sampled_out);
   }
 
   if (durability_ != nullptr) {
@@ -844,12 +768,6 @@ void FleetStudy::Finalize() {
     durability_stats_.torn_tail_truncations = journal.torn_tail_truncations;
     durability_stats_.corrupt_frames_rejected = journal.corrupt_frames_rejected;
     report_.durability = durability_stats_;
-    metrics_.Increment("journal.frames_written", journal.frames_written);
-    metrics_.Increment("journal.bytes", journal.bytes_written);
-    metrics_.Increment("journal.snapshots", journal.snapshots_written);
-    metrics_.Increment("journal.recoveries", journal.recoveries);
-    metrics_.Increment("journal.torn_tail_truncations", journal.torn_tail_truncations);
-    metrics_.Increment("journal.corrupt_frames_rejected", journal.corrupt_frames_rejected);
   }
 
   const double thousands = static_cast<double>(fleet_.machine_count()) / 1000.0;
@@ -859,12 +777,8 @@ void FleetStudy::Finalize() {
       static_cast<double>(report_.quarantine.true_positive_retirements) / thousands;
 
   const double machines = static_cast<double>(fleet_.machine_count());
-  if (const TimeSeries* user = metrics_.FindSeries(kUserSeries)) {
-    report_.weekly_user_rate = user->Rates(machines, /*normalize_to_first=*/false);
-  }
-  if (const TimeSeries* autos = metrics_.FindSeries(kAutoSeries)) {
-    report_.weekly_auto_rate = autos->Rates(machines, /*normalize_to_first=*/false);
-  }
+  report_.weekly_user_rate = user_series_.Rates(machines, /*normalize_to_first=*/false);
+  report_.weekly_auto_rate = auto_series_.Rates(machines, /*normalize_to_first=*/false);
   // Pad both series to the full study duration so they plot on a common axis.
   const size_t weeks = static_cast<size_t>(options_.duration.seconds() /
                                            SimTime::Weeks(1).seconds()) +

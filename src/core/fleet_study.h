@@ -259,7 +259,9 @@ class FleetStudy {
   // Access for examples/tests (valid after construction).
   Fleet& fleet() { return fleet_; }
   CoreScheduler& scheduler() { return scheduler_; }
-  MetricRegistry& metrics() { return metrics_; }
+  // Engine counters the report lacks (signals by source, due-wheel, active-index and risk
+  // allocator counts), filled once at the end of Run() and empty before it.
+  const MetricRegistry& metrics() const { return metrics_; }
   // Blast-radius provenance; empty unless options.audit.enabled. The CLI's incident timeline
   // uses it to annotate convicted cores with the artifacts their defect touched.
   const BlastRadiusLedger& ledger() const { return ledger_; }
@@ -276,6 +278,18 @@ class FleetStudy {
   };
   // Per-shard side-effect buffer; defined in fleet_study.cc.
   struct ShardDelta;
+  // Signal sources counted for the `signals.*` export. Shards count the first five in their
+  // deltas; screen failures and user reports arrive in the serial phase.
+  enum SignalSource {
+    kCrashSource,
+    kSanitizerSource,
+    kMachineCheckSource,
+    kAppReportSource,
+    kBackgroundSource,
+    kScreenFailSource,
+    kUserReportSource,
+    kSignalSourceCount,
+  };
 
   // Hot-path stages, parameterized over a shard's core range and its counter-derived Rng.
   // All side effects land in `delta`, never in shared state.
@@ -345,13 +359,11 @@ class FleetStudy {
   ScreeningOrchestrator screening_;
   QuarantineControlPlane control_plane_;
   MetricRegistry metrics_;
-  // Hot-path telemetry handles into metrics_, resolved once at construction: screening
-  // failures and user reports are per-event increments, so the name lookup is hoisted out of
-  // the event loops. The series pointers are stable (map nodes never move).
-  MetricId screen_fail_id_;
-  MetricId user_report_id_;
-  TimeSeries* user_series_ = nullptr;
-  TimeSeries* auto_series_ = nullptr;
+  // Signals by source, summed over the shard deltas in shard order; Finalize exports them.
+  uint64_t signal_counts_[kSignalSourceCount] = {};
+  // Fig. 1 incident series: user reports, and screen failures as the automatic reports.
+  TimeSeries user_series_{SimTime::Weeks(1)};
+  TimeSeries auto_series_{SimTime::Weeks(1)};
   std::vector<PendingHumanReport> pending_human_reports_;
   // Blast-radius provenance ledger and the repair pipeline it feeds. The ledger is only ever
   // written in shard deltas (merged serially in shard order) or the serial phase; the

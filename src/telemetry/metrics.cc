@@ -11,23 +11,6 @@ uint64_t MetricRegistry::counter(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-MetricId MetricRegistry::Intern(const std::string& name) {
-  auto [it, inserted] = interned_.emplace(name, slots_.size());
-  if (inserted) {
-    slots_.push_back(&counters_[name]);
-  }
-  return MetricId(it->second);
-}
-
-void MetricRegistry::ResetForReuse() {
-  for (auto& [name, value] : counters_) {
-    value = 0;
-  }
-  gauge_maxes_.clear();
-  series_.clear();
-  histos_.clear();
-}
-
 void MetricRegistry::ObserveMax(const std::string& name, uint64_t value) {
   auto [it, inserted] = gauge_maxes_.emplace(name, value);
   if (!inserted && value > it->second) {
@@ -48,77 +31,6 @@ std::vector<std::pair<std::string, uint64_t>> MetricRegistry::CountersWithPrefix
     out.emplace_back(it->first, it->second);
   }
   return out;
-}
-
-TimeSeries& MetricRegistry::Series(const std::string& name, SimTime period) {
-  auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_.emplace(name, TimeSeries(period)).first;
-  }
-  return it->second;
-}
-
-const TimeSeries* MetricRegistry::FindSeries(const std::string& name) const {
-  auto it = series_.find(name);
-  return it == series_.end() ? nullptr : &it->second;
-}
-
-Histogram& MetricRegistry::Histo(const std::string& name, double lo, double hi, size_t buckets) {
-  auto it = histos_.find(name);
-  if (it == histos_.end()) {
-    it = histos_.emplace(name, Histogram(lo, hi, buckets)).first;
-  }
-  return it->second;
-}
-
-const Histogram* MetricRegistry::FindHisto(const std::string& name) const {
-  auto it = histos_.find(name);
-  return it == histos_.end() ? nullptr : &it->second;
-}
-
-void MetricRegistry::Merge(const MetricRegistry& other) {
-  for (const auto& [name, value] : other.counters_) {
-    if (value != 0) {
-      counters_[name] += value;
-    }
-  }
-  for (const auto& [name, value] : other.gauge_maxes_) {
-    ObserveMax(name, value);
-  }
-  for (const auto& [name, series] : other.series_) {
-    auto it = series_.find(name);
-    if (it == series_.end()) {
-      series_.emplace(name, series);
-    } else {
-      it->second.Merge(series);
-    }
-  }
-  for (const auto& [name, histo] : other.histos_) {
-    auto it = histos_.find(name);
-    if (it == histos_.end()) {
-      histos_.emplace(name, histo);
-    } else {
-      it->second.Merge(histo);
-    }
-  }
-}
-
-void MetricRegistry::Dump(std::FILE* stream) const {
-  for (const auto& [name, value] : counters_) {
-    std::fprintf(stream, "counter %-48s %llu\n", name.c_str(),
-                 static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, value] : gauge_maxes_) {
-    std::fprintf(stream, "gauge   %-48s %llu\n", name.c_str(),
-                 static_cast<unsigned long long>(value));
-  }
-  for (const auto& [name, histo] : histos_) {
-    std::fprintf(stream, "histo   %-48s %s\n", name.c_str(), histo.ToString().c_str());
-  }
-  for (const auto& [name, ts] : series_) {
-    std::fprintf(stream, "series  %-48s buckets=%zu total=%.4g\n", name.c_str(),
-                 ts.bucket_count(), ts.total());
-  }
 }
 
 }  // namespace mercurial

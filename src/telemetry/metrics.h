@@ -1,108 +1,43 @@
-// Metric registry: named counters, histograms, and time series (§4).
+// Metric registry: the simulator's own instrumentation, exported once at the end of a study.
 //
-// "Improvements in system reliability are often driven by metrics, but we have struggled to
-// define useful metrics for CEE." The registry implements the candidates §4 proposes: the
-// fraction of cores/machines exhibiting CEEs, age until onset, and the rate/nature of
-// application-visible corruptions — all exported by FleetStudy.
+// StudyReport is the one record of every study result, §4's metrics included. The registry
+// holds only the engine counters the report lacks — signal counts by source, the due-wheel and
+// active-index counts of the sparse engine, the risk allocator's counts — which FleetStudy
+// writes in Finalize and benches read by name. It sits outside the deterministic report, so
+// nothing here takes part in report equality.
 
 #ifndef MERCURIAL_SRC_TELEMETRY_METRICS_H_
 #define MERCURIAL_SRC_TELEMETRY_METRICS_H_
 
-#include <cstdio>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/common/histogram.h"
-#include "src/common/sim_time.h"
-
 namespace mercurial {
-
-// Opaque handle to an interned counter. Resolving a counter name (string construction plus a
-// map walk) happens once, in MetricRegistry::Intern; each Increment(MetricId) afterwards is a
-// single add through a stable pointer — which is what makes per-event accounting in the fleet
-// engine's hot loops (HandleSymptom, background noise) cheap. A handle is only meaningful on
-// the registry that issued it (or a moved-from successor).
-class MetricId {
- public:
-  MetricId() = default;
-
- private:
-  friend class MetricRegistry;
-  explicit MetricId(size_t slot) : slot_(slot) {}
-  size_t slot_ = 0;
-};
 
 class MetricRegistry {
  public:
-  MetricRegistry() = default;
-
-  MetricRegistry(const MetricRegistry&) = delete;
-  MetricRegistry& operator=(const MetricRegistry&) = delete;
-
-  // Movable so per-shard delta registries can live in containers.
-  MetricRegistry(MetricRegistry&&) = default;
-  MetricRegistry& operator=(MetricRegistry&&) = default;
-
-  // Monotonic counter; created on first use.
-  void Increment(const std::string& name, uint64_t delta = 1);
+  // Monotonic counter; created on first use, at zero for a zero delta.
+  void Increment(const std::string& name, uint64_t delta);
   uint64_t counter(const std::string& name) const;
 
-  // Interns `name` as a counter (creating it at zero if absent) and returns a handle whose
-  // Increment skips the name lookup. The string API above stays correct for cold paths —
-  // both write the same cell. std::map nodes are stable, so handles survive later
-  // insertions and registry moves.
-  MetricId Intern(const std::string& name);
-  void Increment(MetricId id, uint64_t delta = 1) { *slots_[id.slot_] += delta; }
-  uint64_t counter(MetricId id) const { return *slots_[id.slot_]; }
-
-  // Re-initializes the registry for buffer reuse: counter values are zeroed (keys and issued
-  // MetricId handles stay valid); gauges, series, and histograms are dropped. Paired with the
-  // zero-skip in Merge, a reused delta registry merges exactly like a freshly constructed one.
-  void ResetForReuse();
-
-  // Max-gauge: retains the largest value ever observed (peak queue depth, peak stranded
-  // capacity). Kept separate from counters because its Merge semantic is max, not sum.
+  // Max-gauge: retains the largest value ever observed (peak occupancy, largest bucket).
   void ObserveMax(const std::string& name, uint64_t value);
   uint64_t gauge_max(const std::string& name) const;
 
-  // Time series with the given bucket period (period fixed at first use).
-  TimeSeries& Series(const std::string& name, SimTime period = SimTime::Weeks(1));
-  const TimeSeries* FindSeries(const std::string& name) const;
-
-  // Histogram with fixed range (shape fixed at first use).
-  Histogram& Histo(const std::string& name, double lo, double hi, size_t buckets);
-  const Histogram* FindHisto(const std::string& name) const;
-
-  // Accumulates every metric of `other` into this registry: counters add, series merge
-  // bucket-wise, histograms merge (shapes must match for same-named histograms). Merging is
-  // associative — folding per-shard delta registries into a root registry in shard-index
-  // order is bit-identical to accumulating the same events serially — which is what lets the
-  // sharded fleet engine keep one telemetry contract for any thread count. Zero-valued
-  // counters in `other` (interned-but-idle cells of a reused delta registry) are skipped and
-  // do not materialize keys here.
-  void Merge(const MetricRegistry& other);
-
-  // Read access for merge/equality checks (tests and report finalization).
   const std::map<std::string, uint64_t>& counters() const { return counters_; }
   const std::map<std::string, uint64_t>& gauges() const { return gauge_maxes_; }
 
-  // One subsystem's slice of the counter namespace ("repair.", "chaos.", ...), in name order.
-  // Metric names use dotted prefixes as their only structure; this is the read-side analog.
+  // One subsystem's slice of the counter namespace ("signals.", "screening.", ...), in name
+  // order. Metric names use dotted prefixes as their only structure.
   std::vector<std::pair<std::string, uint64_t>> CountersWithPrefix(
       const std::string& prefix) const;
-
-  // Human-readable dump of every metric.
-  void Dump(std::FILE* stream) const;
 
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, uint64_t> gauge_maxes_;
-  std::map<std::string, TimeSeries> series_;
-  std::map<std::string, Histogram> histos_;
-  std::vector<uint64_t*> slots_;          // interned counter cells, indexed by MetricId::slot_
-  std::map<std::string, size_t> interned_;  // name -> slot, so re-interning is a lookup
 };
 
 }  // namespace mercurial

@@ -642,6 +642,9 @@ int CmdStudy(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(repair.retries_scheduled),
                 static_cast<unsigned long long>(repair.tasks_abandoned),
                 static_cast<unsigned long long>(repair.epochs_shed));
+    std::printf("  reinstate-cancelled    %llu epochs / %llu artifacts\n",
+                static_cast<unsigned long long>(repair.reinstated_epochs_cancelled),
+                static_cast<unsigned long long>(repair.reinstated_artifacts_cancelled));
     std::printf("  corruption disposition repaired=%llu shed=%llu at-rest=%llu "
                 "(missed=%llu abandoned=%llu)\n",
                 static_cast<unsigned long long>(repair.corruptions_repaired),
@@ -654,10 +657,6 @@ int CmdStudy(int argc, const char* const* argv) {
                   static_cast<unsigned long long>(repair.chaos.reverify_misses),
                   static_cast<unsigned long long>(repair.chaos.defective_repairs),
                   static_cast<unsigned long long>(repair.chaos.partial_repairs));
-    }
-    std::printf("  metrics (repair.*):\n");
-    for (const auto& [name, value] : study.metrics().CountersWithPrefix("repair.")) {
-      std::printf("    %-28s %llu\n", name.c_str(), static_cast<unsigned long long>(value));
     }
   }
 
