@@ -21,6 +21,18 @@ void AppendMembers(std::vector<uint32_t>& to, std::vector<uint32_t>&& from) {
   }
 }
 
+// Per-factor weights of the adaptive allocator's risk score (DESIGN.md, "screening is a
+// budget, risk is the allocator"). The score is a plain weighted sum — legible enough to
+// audit from a trace — over decayed report-service evidence, screen-fail recidivism,
+// probation history, core age, operating-point stress, and corpus-coverage gaps.
+constexpr double kReportEvidenceWeight = 0.5;  // decayed weighted signal mass from the reports
+constexpr double kDirectEvidenceWeight = 1.0;  // decayed screen-fail mass (direct evidence)
+constexpr double kScreenFailureWeight = 1.5;   // lifetime offline screen-fail count (recidivism)
+constexpr double kProbationWeight = 1.0;       // on probation now; half if ever on probation
+constexpr double kAgeYearsWeight = 0.1;        // core age in years (§3: failures grow with age)
+constexpr double kStressWeight = 0.25;         // operating-point stress: temperature + voltage
+constexpr double kCoverageGapWeight = 0.25;    // corpus units never run against this core
+
 }  // namespace
 
 Status ValidateScreeningOptions(const ScreeningOptions& options) {
@@ -311,7 +323,6 @@ void ScreeningOrchestrator::RescheduleAdaptive(SimTime now, uint64_t core, SimTi
 }
 
 double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet) {
-  const ScreeningRiskWeights& w = options_.risk_weights;
   RiskState& rs = risk_[core];
   double risk = 0.0;
   if (risk_probe_) {
@@ -319,11 +330,11 @@ double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet
     if (evidence.on_probation) {
       rs.probation_seen = true;
     }
-    risk += w.report_evidence * evidence.report_score;
-    risk += w.direct_evidence * evidence.direct_score;
-    risk += w.probation * (evidence.on_probation ? 1.0 : (rs.probation_seen ? 0.5 : 0.0));
+    risk += kReportEvidenceWeight * evidence.report_score;
+    risk += kDirectEvidenceWeight * evidence.direct_score;
+    risk += kProbationWeight * (evidence.on_probation ? 1.0 : (rs.probation_seen ? 0.5 : 0.0));
   }
-  risk += w.screen_failures * static_cast<double>(rs.screen_failures);
+  risk += kScreenFailureWeight * static_cast<double>(rs.screen_failures);
   // A healthy core has no SimCore: it scores age 0 at the default operating point and its
   // product's voltage there, since screening never moves it off that point.
   // GROUND-TRUTH LEAK, kept so reports stay bit-identical: Fleet::SetAges ages only defective
@@ -341,13 +352,13 @@ double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet
     point = sim_core.operating_point();
     voltage = sim_core.voltage();
   }
-  risk += w.age_years * (age.days() / 365.0);
+  risk += kAgeYearsWeight * (age.days() / 365.0);
   // Operating-point stress: hot silicon and thin voltage margin both raise the chance a
   // marginal defect fires in production before the next screen (§5: defects are f/V/T
   // sensitive). Normalized so the default point (60 C, 0.92 V) scores ~0.15.
   const double temp_stress = std::clamp((point.temperature_c - 50.0) / 50.0, 0.0, 1.0);
   const double volt_stress = std::clamp((0.95 - voltage) / 0.30, 0.0, 1.0);
-  risk += w.stress * 0.5 * (temp_stress + volt_stress);
+  risk += kStressWeight * 0.5 * (temp_stress + volt_stress);
   // Coverage gap: corpus units that came online after this core's last offline screen have
   // never been run against it — its defects there are still zero-days (§4).
   uint64_t gap = 0;
@@ -360,7 +371,7 @@ double ScreeningOrchestrator::RiskScore(SimTime now, uint64_t core, Fleet& fleet
       }
     }
   }
-  risk += w.coverage_gap * static_cast<double>(gap);
+  risk += kCoverageGapWeight * static_cast<double>(gap);
   return risk;
 }
 

@@ -33,20 +33,6 @@ namespace mercurial {
 
 class TraceRecorder;
 
-// Per-factor weights of the adaptive allocator's risk score (DESIGN.md, "screening is a
-// budget, risk is the allocator"). The score is a plain weighted sum — legible enough to
-// audit from a trace — over decayed report-service evidence, screen-fail recidivism,
-// probation history, core age, operating-point stress, and corpus-coverage gaps.
-struct ScreeningRiskWeights {
-  double report_evidence = 0.5;  // decayed weighted signal mass from the report service
-  double direct_evidence = 1.0;  // decayed screen-fail mass (direct evidence)
-  double screen_failures = 1.5;  // lifetime offline screen-fail count (recidivism)
-  double probation = 1.0;        // on probation now; half weight if ever on probation
-  double age_years = 0.1;        // core age in years (§3: failures grow with age)
-  double stress = 0.25;          // operating-point stress: temperature + voltage margin
-  double coverage_gap = 0.25;    // corpus units never run against this core
-};
-
 struct ScreeningOptions {
   bool offline_enabled = true;
   SimTime offline_period = SimTime::Days(45);  // per-core cadence
@@ -87,7 +73,6 @@ struct ScreeningOptions {
   // Tier thresholds: risk >= risk_warm doubles the battery depth, >= risk_hot quadruples it.
   double risk_warm = 1.0;
   double risk_hot = 3.0;
-  ScreeningRiskWeights risk_weights;
 };
 
 // Decayed per-core evidence the risk scorer folds in, supplied by the study driver (the

@@ -23,6 +23,13 @@ constexpr double kClassWeights[kDefectClassCount] = {
     /*kDeterministicAlu=*/0.5,
 };
 
+// Probability that a defect carries each environmental sensitivity.
+constexpr double kPFreqSensitive = 0.4;
+constexpr double kPVoltSensitive = 0.3;  // the inverse-frequency population
+constexpr double kPTempSensitive = 0.3;
+// Upper bound of a latent defect's drawn AgingProfile::growth_per_year.
+constexpr double kMaxGrowthPerYear = 1.5;
+
 double DrawLogUniformRate(const CatalogOptions& options, Rng& rng) {
   const double exponent =
       options.log10_rate_min +
@@ -33,16 +40,16 @@ double DrawLogUniformRate(const CatalogOptions& options, Rng& rng) {
 FvtSensitivity DrawSensitivity(const CatalogOptions& options, Rng& rng) {
   FvtSensitivity fvt;
   fvt.base_rate = DrawLogUniformRate(options, rng);
-  if (rng.Bernoulli(options.p_freq_sensitive)) {
+  if (rng.Bernoulli(kPFreqSensitive)) {
     // Positive slope: more failures at higher clocks (1.5..4 nats per GHz).
     fvt.freq_slope = 1.5 + rng.NextDouble() * 2.5;
   }
-  if (rng.Bernoulli(options.p_volt_sensitive)) {
+  if (rng.Bernoulli(kPVoltSensitive)) {
     // Voltage-margin sensitivity: more failures at LOWER voltage. Combined with DVFS this is
     // the paper's "lower frequency sometimes (surprisingly) increases the failure rate".
     fvt.volt_slope = 8.0 + rng.NextDouble() * 12.0;  // nats per volt of droop
   }
-  if (rng.Bernoulli(options.p_temp_sensitive)) {
+  if (rng.Bernoulli(kPTempSensitive)) {
     fvt.temp_slope = 0.3 + rng.NextDouble() * 0.7;  // nats per 10 C
   }
   return fvt;
@@ -53,7 +60,7 @@ AgingProfile DrawAging(const CatalogOptions& options, Rng& rng) {
   if (rng.Bernoulli(options.p_latent)) {
     aging.onset = SimTime::Seconds(
         static_cast<int64_t>(rng.NextDouble() * static_cast<double>(options.max_onset.seconds())));
-    aging.growth_per_year = rng.NextDouble() * options.max_growth_per_year;
+    aging.growth_per_year = rng.NextDouble() * kMaxGrowthPerYear;
   }
   return aging;
 }

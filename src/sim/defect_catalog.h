@@ -38,14 +38,9 @@ struct CatalogOptions {
   // magnitude"): rates are drawn log-uniformly in [10^log10_rate_min, 10^log10_rate_max].
   double log10_rate_min = -6.5;
   double log10_rate_max = -3.0;
-  // Probability that a defect carries each environmental sensitivity.
-  double p_freq_sensitive = 0.4;
-  double p_volt_sensitive = 0.3;   // the inverse-frequency population
-  double p_temp_sensitive = 0.3;
   // Probability of a latent (aged-onset) defect, and the onset window.
   double p_latent = 0.35;
   SimTime max_onset = SimTime::Days(3 * 365);
-  double max_growth_per_year = 1.5;
   // Fraction of firings escalating to machine checks (drawn uniformly in
   // [min_machine_check_fraction, max_machine_check_fraction]). Setting both to 1.0 models
   // §7.1's conservatively designed units: defects are fail-noisy, never silent.
