@@ -118,6 +118,7 @@ void CoreScheduler::Release(uint64_t core) {
 
 void CoreScheduler::Retire(uint64_t core) {
   MERCURIAL_CHECK_NE(static_cast<int>(states_[core]), static_cast<int>(CoreState::kRetired));
+  ++stats_.retirements;
   SetState(core, CoreState::kRetired);
 }
 
