@@ -208,8 +208,8 @@ class QuarantineControlPlane {
   // Durable-state round trip for the write-ahead journal (src/durability). One payload covers
   // everything a controller crash would otherwise forget: the control RNG cursor, the plane's
   // own counters, the pending and probation books, the verdict books (interrogation RNG
-  // cursor, QuarantineStats, and the accusation, failed-unit and retirement-time maps, which
-  // are ordered so they serialize in core order), and the nested chaos and quorum state.
+  // cursor, QuarantineStats, and the accusation and failed-unit maps, which are ordered so
+  // they serialize in core order), and the nested chaos and quorum state.
   // Options, policy, hooks, and the trace recorder are wiring, reconstructed by the owning
   // study, never persisted. LoadDurableState fully replaces the durable state — a recovered
   // plane continues bit-identically from the journaled cursors — or, on DATA_LOSS, leaves all
@@ -265,15 +265,14 @@ class QuarantineControlPlane {
   // charging its ops and recording a confession's failed units.
   Interrogation Interrogate(uint64_t core_global, Fleet& fleet);
   // Permanent removal, with the retirement and ground-truth books.
-  void RetireCore(SimTime now, uint64_t core_global, Fleet& fleet, CoreScheduler& scheduler);
+  void RetireCore(uint64_t core_global, Fleet& fleet, CoreScheduler& scheduler);
   // Return to service without a conviction: a release, and a missed confession if ground
   // truth says the core is mercurial.
   void ReleaseCore(uint64_t core_global, Fleet& fleet, CoreScheduler& scheduler);
   // New evidence during probation (a fresh accusation, or a shadow-screen confession when
   // `confessed`): the held-open conviction becomes a permanent retirement.
-  QuarantineVerdict EscalateProbation(SimTime now, uint64_t core_global, bool confessed,
-                                      Fleet& fleet, CoreScheduler& scheduler,
-                                      CeeReportService& service);
+  QuarantineVerdict EscalateProbation(uint64_t core_global, bool confessed, Fleet& fleet,
+                                      CoreScheduler& scheduler, CeeReportService& service);
 
   void AdmitSuspects(SimTime now, const std::vector<SuspectCore>& suspects, Fleet& fleet,
                      CoreScheduler& scheduler, CeeReportService& service,
@@ -298,11 +297,10 @@ class QuarantineControlPlane {
   ConfessionTester tester_;
   Rng interrogation_rng_;
   QuarantineStats quarantine_stats_;
-  // The verdict books. Accusation counts feed recidivism; failed units and retirement times
-  // are kept for the journal.
+  // The verdict books. Accusation counts feed recidivism; a confession's failed units name
+  // the units of the verdict that later escalates its core out of probation.
   std::map<uint64_t, int> accusation_counts_;
   std::map<uint64_t, std::vector<ExecUnit>> failed_units_;
-  std::map<uint64_t, SimTime> retirement_times_;
   Rng control_rng_;
   ChaosInjector chaos_;
   QuorumInterrogator quorum_;

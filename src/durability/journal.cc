@@ -19,7 +19,9 @@ namespace mercurial {
 namespace {
 
 constexpr uint32_t kJournalMagic = 0x4c4a434d;  // "MCJL"
-constexpr uint32_t kJournalVersion = 1;
+// Version 2 dropped the control plane's retirement-time map from its durable bytes; an image of
+// another version is refused rather than decoded against this layout.
+constexpr uint32_t kJournalVersion = 2;
 // u32 payload_len + u8 type + u64 tick before the payload, u32 crc after it.
 constexpr size_t kFramePrefixBytes = 4 + 1 + 8;
 constexpr size_t kFrameOverheadBytes = kFramePrefixBytes + 4;
