@@ -1,10 +1,10 @@
 // Deterministic incident flight recorder (§1, §5).
 //
 // "Understanding and debugging these failures required weeks of effort by sworn experts" —
-// the aggregate counters in MetricRegistry and StudyReport can say *how many* convictions and
-// repairs happened, but not *why this core, on this day*. The flight recorder captures the
-// typed lifecycle of every incident — defect fired, signal emitted, suspicion raised,
-// interrogation start/verdict, quarantine admit/shed/drain/force-release, conviction, repair
+// the aggregate counters in StudyReport can say *how many* convictions and repairs happened,
+// but not *why this core, on this day*. The flight recorder captures the typed lifecycle of
+// every incident — defect fired, signal emitted, suspicion raised, interrogation
+// start/verdict, quarantine admit/shed/drain/force-release, conviction, repair
 // pass/retry/shed — as a bounded, shard-local ring of events stamped with
 // (sim_time, core, epoch, cause).
 //
