@@ -1,6 +1,7 @@
 // Tests for src/common: RNG, status, time, histograms, statistics helpers.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -26,6 +27,66 @@ TEST(RngTest, DeterministicUnderSeed) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.NextU64(), b.NextU64());
   }
+}
+
+// Pins the generator's output bit for bit, so a change to a draw path that two generators
+// share (which DeterministicUnderSeed cannot see) still fails. Every reported value, trace
+// byte and journal byte depends on these streams.
+TEST(RngTest, DrawsArePinned) {
+  constexpr uint64_t kFirstWords[8] = {
+      0xf61612c2ff4d9bc1ull, 0x584f61ab0b9a78b4ull, 0x8153a8240f70a3e2ull,
+      0xf7825de81809f5f1ull, 0xbfa6b6578e1a9e26ull, 0xce8b4774f14e38aaull,
+      0x7183b95ce8a88807ull, 0x78b3c45bdde5122dull};
+  Rng words(2021);
+  for (uint64_t want : kFirstWords) {
+    EXPECT_EQ(words.NextU64(), want);
+  }
+  for (uint64_t want_bits : {0x3fe234381601eb63ull, 0x3fc9b2e4c0e54fb0ull,
+                             0x3fe666ebbee6a73cull, 0x3fe4d6b3b146d97eull}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(words.NextDouble()), want_bits);
+  }
+  EXPECT_EQ(words.NextU64(), 0xaf95772c3efc5917ull);
+
+  // One draw per call here (no rejection fires); the full range wraps the span to 0 and
+  // returns the raw word, which is the eighth word of the stream.
+  struct Case {
+    uint64_t lo;
+    uint64_t hi;
+    uint64_t want;
+  };
+  constexpr Case kUniform[] = {{0, 0, 0},
+                               {0, 1, 0},
+                               {0, 6, 5},
+                               {0, 7, 1},
+                               {3, 14, 9},
+                               {0, 999, 802},
+                               {0, (uint64_t{1} << 32) + 2, 0x941d5bf6ull},
+                               {0, UINT64_MAX, kFirstWords[7]}};
+  Rng uniform(2021);
+  for (const Case& c : kUniform) {
+    EXPECT_EQ(uniform.UniformInt(c.lo, c.hi), c.want) << "[" << c.lo << ", " << c.hi << "]";
+  }
+  EXPECT_EQ(uniform.NextU64(), 0x91a1c0b00f5b1b46ull);
+
+  // Certain outcomes draw nothing.
+  Rng certain(2021);
+  EXPECT_FALSE(certain.Bernoulli(0.0));
+  EXPECT_TRUE(certain.Bernoulli(1.0));
+  EXPECT_EQ(certain.NextU64(), kFirstWords[0]);
+
+  Rng mixed(2021);
+  std::vector<bool> coins;
+  for (int i = 0; i < 16; ++i) {
+    coins.push_back(mixed.Bernoulli(0.3));
+  }
+  EXPECT_EQ(coins, std::vector<bool>({false, false, false, false, false, false, false, false,
+                                      false, true, false, false, false, true, false, false}));
+  std::vector<uint8_t> bytes(13);
+  mixed.FillBytes(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes, std::vector<uint8_t>({0xec, 0x48, 0x5d, 0x3d, 0xa2, 0xca, 0x16, 0xfc, 0xcb,
+                                         0xf1, 0xf0, 0xcd, 0x62}));
+  EXPECT_EQ(mixed.NextU64(), 0x4c674f2e1e7b4a04ull);
+  EXPECT_EQ(mixed.Split(7).NextU64(), 0x6182e5c5f0da3905ull);
 }
 
 TEST(RngTest, DifferentSeedsDiffer) {

@@ -12,6 +12,7 @@
 #include "src/sim/core.h"
 #include "src/sim/defect_catalog.h"
 #include "src/substrate/aes.h"
+#include "src/substrate/checksum.h"
 #include "src/telemetry/trace.h"
 
 namespace mercurial {
@@ -115,6 +116,25 @@ TEST(SimCoreTest, HealthyCopyAndCas) {
   EXPECT_EQ(target, 9u);
   EXPECT_FALSE(core.Cas(target, 7, 11));
   EXPECT_EQ(target, 9u);
+}
+
+TEST(SimCoreTest, HealthyCrc32BlockMatchesByteFoldAndCountsOneOp) {
+  SimCore core = HealthyCore();
+  Rng rng(6);
+  std::vector<uint8_t> data(130);
+  rng.FillBytes(data.data(), data.size());
+  const auto crc_ops = [&] {
+    return core.counters().ops_per_unit[static_cast<size_t>(ExecUnit::kCrc)];
+  };
+  for (size_t n = 0; n <= data.size(); ++n) {
+    uint32_t want = 0x12345678u;
+    for (size_t i = 0; i < n; ++i) {
+      want = Crc32Update(want, data[i]);
+    }
+    const uint64_t ops_before = crc_ops();
+    EXPECT_EQ(core.Crc32Block(0x12345678u, data.data(), n), want) << "length " << n;
+    EXPECT_EQ(crc_ops(), ops_before + 1) << "length " << n;
+  }
 }
 
 TEST(SimCoreTest, CountersTrackOps) {

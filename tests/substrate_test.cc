@@ -321,6 +321,42 @@ TEST(ChecksumTest, Crc32IncrementalMatchesOneShot) {
   EXPECT_EQ(Crc32Final(crc), Crc32(data));
 }
 
+// The byte-at-a-time fold: the reference every multi-byte CRC-32 path must equal.
+uint32_t Crc32ByteFold(uint32_t crc, const uint8_t* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    crc = Crc32Update(crc, data[i]);
+  }
+  return crc;
+}
+
+TEST(ChecksumTest, Crc32ExtendMatchesByteFoldAtEveryLengthAndAlignment) {
+  Rng rng(25);
+  std::vector<uint8_t> buffer(300 + 7);
+  rng.FillBytes(buffer.data(), buffer.size());
+  for (uint32_t initial : {Crc32Init(), 0u, 0x12345678u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const uint8_t* data = buffer.data() + offset;
+      for (size_t n = 0; n <= 300; ++n) {
+        ASSERT_EQ(Crc32Extend(initial, data, n), Crc32ByteFold(initial, data, n))
+            << "initial " << initial << ", offset " << offset << ", length " << n;
+      }
+    }
+  }
+}
+
+TEST(ChecksumTest, Crc32ExtendChainsOverEverySplit) {
+  Rng rng(26);
+  std::vector<uint8_t> data(300);
+  rng.FillBytes(data.data(), data.size());
+  const uint32_t whole = Crc32Extend(Crc32Init(), data.data(), data.size());
+  EXPECT_EQ(Crc32Final(whole), Crc32(data));
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32Extend(Crc32Init(), data.data(), split);
+    ASSERT_EQ(Crc32Extend(head, data.data() + split, data.size() - split), whole)
+        << "split at " << split;
+  }
+}
+
 TEST(ChecksumTest, Crc32DetectsSingleBitFlip) {
   Rng rng(5);
   std::vector<uint8_t> data(256);
