@@ -1,7 +1,6 @@
 #include "src/common/rng.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -43,48 +42,6 @@ Rng Rng::Split(uint64_t label) const {
   // Children are derived from the parent's construction-time identity mixed with the label;
   // the parent stream position is irrelevant, keeping the tree of streams reproducible.
   return Rng(Mix64(identity_ ^ Mix64(label)));
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::UniformInt(uint64_t lo, uint64_t hi) {
-  MERCURIAL_CHECK_LE(lo, hi);
-  const uint64_t span = hi - lo + 1;
-  if (span == 0) {  // Full 64-bit range.
-    return NextU64();
-  }
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % span;
-  uint64_t draw;
-  do {
-    draw = NextU64();
-  } while (draw >= limit);
-  return lo + draw % span;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 double Rng::Exponential(double lambda) {

@@ -8,10 +8,12 @@
 #ifndef MERCURIAL_SRC_COMMON_RNG_H_
 #define MERCURIAL_SRC_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/sim_time.h"
 
 namespace mercurial {
@@ -76,6 +78,50 @@ class Rng {
   // family tree of streams does not depend on how far any stream has advanced.
   uint64_t identity_;
 };
+
+// The per-draw paths are inline: simulated workloads and the defect gate draw once per op.
+
+inline uint64_t Rng::NextU64() {
+  const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = std::rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 random bits into [0, 1).
+  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+}
+
+inline uint64_t Rng::UniformInt(uint64_t lo, uint64_t hi) {
+  MERCURIAL_CHECK_LE(lo, hi);
+  const uint64_t span = hi - lo + 1;
+  if (span == 0) {  // Full 64-bit range.
+    return NextU64();
+  }
+  // Rejection sampling to avoid modulo bias.
+  const uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+  uint64_t draw;
+  do {
+    draw = NextU64();
+  } while (draw >= limit);
+  return lo + draw % span;
+}
+
+inline bool Rng::Bernoulli(double p) {
+  if (p <= 0.0) {
+    return false;
+  }
+  if (p >= 1.0) {
+    return true;
+  }
+  return NextDouble() < p;
+}
 
 // Retry backoff: attempt k >= 1 waits base * 2^(k-1), the shift capped at 20, then jittered
 // by one draw from `rng` into [1 - jitter, 1 + jitter] times that when jitter > 0, so

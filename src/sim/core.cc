@@ -1,7 +1,6 @@
 #include "src/sim/core.h"
 
 #include <atomic>
-#include <bit>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -10,10 +9,6 @@
 
 namespace mercurial {
 namespace {
-
-// Operand signature for data-pattern triggers: combines both operands so a trigger can key on
-// either; rotation keeps a/b asymmetric.
-inline uint64_t Signature(uint64_t a, uint64_t b) { return a ^ std::rotl(b, 1); }
 
 // The admit filter of a defect-gate walk that lets every defect on the unit draw.
 constexpr auto kAdmitAll = [](DefectEffect) { return true; };
@@ -218,125 +213,6 @@ void SimCore::DispatchDefective(const OpInfo& op, uint8_t* result, size_t size) 
   });
 }
 
-uint64_t SimCore::Alu(AluOp op, uint64_t a, uint64_t b) {
-  uint64_t result = 0;
-  switch (op) {
-    case AluOp::kAdd:
-      result = a + b;
-      break;
-    case AluOp::kSub:
-      result = a - b;
-      break;
-    case AluOp::kAnd:
-      result = a & b;
-      break;
-    case AluOp::kOr:
-      result = a | b;
-      break;
-    case AluOp::kXor:
-      result = a ^ b;
-      break;
-    case AluOp::kShl:
-      result = a << (b & 63);
-      break;
-    case AluOp::kShr:
-      result = a >> (b & 63);
-      break;
-    case AluOp::kRotl:
-      result = std::rotl(a, static_cast<int>(b & 63));
-      break;
-  }
-  Dispatch({ExecUnit::kIntAlu, static_cast<uint8_t>(op), Signature(a, b)},
-           reinterpret_cast<uint8_t*>(&result), sizeof(result));
-  return result;
-}
-
-uint64_t SimCore::Mul(uint64_t a, uint64_t b) {
-  uint64_t result = a * b;
-  Dispatch({ExecUnit::kIntMul, kMulOp, Signature(a, b)}, reinterpret_cast<uint8_t*>(&result),
-           sizeof(result));
-  return result;
-}
-
-uint64_t SimCore::Div(uint64_t a, uint64_t b) {
-  if (b == 0) {
-    // The op still issued to the divider; count it even though the machine-check path skips
-    // Dispatch (which would otherwise do the accounting).
-    ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kIntDiv)];
-    pending_machine_check_ = true;
-    ++counters_.machine_checks;
-    TraceFire(ExecUnit::kIntDiv, /*machine_check=*/true);
-    return ~0ull;
-  }
-  uint64_t result = a / b;
-  Dispatch({ExecUnit::kIntDiv, kDivOp, Signature(a, b)}, reinterpret_cast<uint8_t*>(&result),
-           sizeof(result));
-  return result;
-}
-
-uint64_t SimCore::Load(uint64_t value) {
-  uint64_t result = value;
-  Dispatch({ExecUnit::kLoad, kMemOpWord, value}, reinterpret_cast<uint8_t*>(&result),
-           sizeof(result));
-  return result;
-}
-
-uint64_t SimCore::Store(uint64_t value) {
-  uint64_t result = value;
-  Dispatch({ExecUnit::kStore, kMemOpWord, value}, reinterpret_cast<uint8_t*>(&result),
-           sizeof(result));
-  return result;
-}
-
-Vec128 SimCore::Vector(VecOp op, Vec128 a, Vec128 b) {
-  Vec128 result;
-  switch (op) {
-    case VecOp::kXor:
-      result = {a.lo ^ b.lo, a.hi ^ b.hi};
-      break;
-    case VecOp::kAnd:
-      result = {a.lo & b.lo, a.hi & b.hi};
-      break;
-    case VecOp::kOr:
-      result = {a.lo | b.lo, a.hi | b.hi};
-      break;
-    case VecOp::kAdd64:
-      result = {a.lo + b.lo, a.hi + b.hi};
-      break;
-    case VecOp::kSub64:
-      result = {a.lo - b.lo, a.hi - b.hi};
-      break;
-  }
-  Dispatch({ExecUnit::kVector, static_cast<uint8_t>(op), Signature(a.lo ^ a.hi, b.lo ^ b.hi)},
-           reinterpret_cast<uint8_t*>(&result), sizeof(result));
-  return result;
-}
-
-double SimCore::Fp(FpOp op, double a, double b) {
-  double result = 0.0;
-  switch (op) {
-    case FpOp::kAdd:
-      result = a + b;
-      break;
-    case FpOp::kSub:
-      result = a - b;
-      break;
-    case FpOp::kMul:
-      result = a * b;
-      break;
-    case FpOp::kDiv:
-      result = a / b;
-      break;
-  }
-  uint64_t a_bits;
-  uint64_t b_bits;
-  std::memcpy(&a_bits, &a, 8);
-  std::memcpy(&b_bits, &b, 8);
-  Dispatch({ExecUnit::kFp, static_cast<uint8_t>(op), Signature(a_bits, b_bits)},
-           reinterpret_cast<uint8_t*>(&result), sizeof(result));
-  return result;
-}
-
 AesBlock SimCore::AesEnc(const AesBlock& state, const AesBlock& round_key, bool last) {
   AesBlock result = AesEncRound(state, round_key, last);
   uint64_t sig;
@@ -383,10 +259,7 @@ AesKeySchedule SimCore::ExpandKey(const uint8_t key[kAesKeyBytes]) {
 }
 
 uint32_t SimCore::Crc32Block(uint32_t crc, const uint8_t* data, size_t n) {
-  uint32_t result = crc;
-  for (size_t i = 0; i < n; ++i) {
-    result = Crc32Update(result, data[i]);
-  }
+  uint32_t result = Crc32Extend(crc, data, n);
   uint64_t sig = n == 0 ? 0 : Signature(data[0], n);
   Dispatch({ExecUnit::kCrc, kCrcOpBlock, sig}, reinterpret_cast<uint8_t*>(&result),
            sizeof(result));
@@ -437,12 +310,6 @@ bool SimCore::Cas(uint64_t& target, uint64_t expected, uint64_t desired) {
     target = desired;
   }
   return would_succeed;
-}
-
-bool SimCore::TakePendingMachineCheck() {
-  const bool pending = pending_machine_check_;
-  pending_machine_check_ = false;
-  return pending;
 }
 
 }  // namespace mercurial

@@ -6,13 +6,19 @@
 // with no defects is "healthy" and behaves exactly like the golden implementation (this is the
 // soundness basis for the fleet simulator's healthy-core fast path, see DESIGN.md §decision 1).
 //
-// Threading: a SimCore is confined to one thread (the whole simulator is single-threaded and
-// deterministic).
+// Threading: a SimCore is not thread-safe. In the sharded engine a defective core's SimCore is
+// touched only by the shard that owns the core, and by the serial phase after the shard
+// barrier, so no two threads use one core at once.
+//
+// The per-op fast paths (Alu through Fp, and TakePendingMachineCheck) are inline below the
+// class: on a unit with no defect an op costs its golden result, a counter bump and a branch.
+// The defect gate, DispatchDefective and ForEachFiring, stays out of line.
 
 #ifndef MERCURIAL_SRC_SIM_CORE_H_
 #define MERCURIAL_SRC_SIM_CORE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -176,6 +182,10 @@ class SimCore {
     uint16_t index = 0;  // into defects_
   };
 
+  // Operand signature for data-pattern triggers: combines both operands so a trigger can key
+  // on either; rotation keeps a/b asymmetric.
+  static uint64_t Signature(uint64_t a, uint64_t b) { return a ^ std::rotl(b, 1); }
+
   // Counts one op on `op.unit` and, for a defective unit, lets its defects corrupt the
   // already-computed correct result at `result`/`size`. Inline so ops on a unit with no
   // defect — nearly all of them — cost a counter bump and a branch.
@@ -223,6 +233,128 @@ class SimCore {
   uint64_t armed_revision_ = 0;  // env_revision_ value the armed lists were built at
   std::array<std::vector<ArmedDefect>, kExecUnitCount> armed_;
 };
+
+inline uint64_t SimCore::Alu(AluOp op, uint64_t a, uint64_t b) {
+  uint64_t result = 0;
+  switch (op) {
+    case AluOp::kAdd:
+      result = a + b;
+      break;
+    case AluOp::kSub:
+      result = a - b;
+      break;
+    case AluOp::kAnd:
+      result = a & b;
+      break;
+    case AluOp::kOr:
+      result = a | b;
+      break;
+    case AluOp::kXor:
+      result = a ^ b;
+      break;
+    case AluOp::kShl:
+      result = a << (b & 63);
+      break;
+    case AluOp::kShr:
+      result = a >> (b & 63);
+      break;
+    case AluOp::kRotl:
+      result = std::rotl(a, static_cast<int>(b & 63));
+      break;
+  }
+  Dispatch({ExecUnit::kIntAlu, static_cast<uint8_t>(op), Signature(a, b)},
+           reinterpret_cast<uint8_t*>(&result), sizeof(result));
+  return result;
+}
+
+inline uint64_t SimCore::Mul(uint64_t a, uint64_t b) {
+  uint64_t result = a * b;
+  Dispatch({ExecUnit::kIntMul, kMulOp, Signature(a, b)}, reinterpret_cast<uint8_t*>(&result),
+           sizeof(result));
+  return result;
+}
+
+inline uint64_t SimCore::Div(uint64_t a, uint64_t b) {
+  if (b == 0) {
+    // The op still issued to the divider; count it even though the machine-check path skips
+    // Dispatch (which would otherwise do the accounting).
+    ++counters_.ops_per_unit[static_cast<size_t>(ExecUnit::kIntDiv)];
+    pending_machine_check_ = true;
+    ++counters_.machine_checks;
+    TraceFire(ExecUnit::kIntDiv, /*machine_check=*/true);
+    return ~0ull;
+  }
+  uint64_t result = a / b;
+  Dispatch({ExecUnit::kIntDiv, kDivOp, Signature(a, b)}, reinterpret_cast<uint8_t*>(&result),
+           sizeof(result));
+  return result;
+}
+
+inline uint64_t SimCore::Load(uint64_t value) {
+  uint64_t result = value;
+  Dispatch({ExecUnit::kLoad, kMemOpWord, value}, reinterpret_cast<uint8_t*>(&result),
+           sizeof(result));
+  return result;
+}
+
+inline uint64_t SimCore::Store(uint64_t value) {
+  uint64_t result = value;
+  Dispatch({ExecUnit::kStore, kMemOpWord, value}, reinterpret_cast<uint8_t*>(&result),
+           sizeof(result));
+  return result;
+}
+
+inline Vec128 SimCore::Vector(VecOp op, Vec128 a, Vec128 b) {
+  Vec128 result;
+  switch (op) {
+    case VecOp::kXor:
+      result = {a.lo ^ b.lo, a.hi ^ b.hi};
+      break;
+    case VecOp::kAnd:
+      result = {a.lo & b.lo, a.hi & b.hi};
+      break;
+    case VecOp::kOr:
+      result = {a.lo | b.lo, a.hi | b.hi};
+      break;
+    case VecOp::kAdd64:
+      result = {a.lo + b.lo, a.hi + b.hi};
+      break;
+    case VecOp::kSub64:
+      result = {a.lo - b.lo, a.hi - b.hi};
+      break;
+  }
+  Dispatch({ExecUnit::kVector, static_cast<uint8_t>(op), Signature(a.lo ^ a.hi, b.lo ^ b.hi)},
+           reinterpret_cast<uint8_t*>(&result), sizeof(result));
+  return result;
+}
+
+inline double SimCore::Fp(FpOp op, double a, double b) {
+  double result = 0.0;
+  switch (op) {
+    case FpOp::kAdd:
+      result = a + b;
+      break;
+    case FpOp::kSub:
+      result = a - b;
+      break;
+    case FpOp::kMul:
+      result = a * b;
+      break;
+    case FpOp::kDiv:
+      result = a / b;
+      break;
+  }
+  Dispatch({ExecUnit::kFp, static_cast<uint8_t>(op),
+            Signature(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))},
+           reinterpret_cast<uint8_t*>(&result), sizeof(result));
+  return result;
+}
+
+inline bool SimCore::TakePendingMachineCheck() {
+  const bool pending = pending_machine_check_;
+  pending_machine_check_ = false;
+  return pending;
+}
 
 }  // namespace mercurial
 
