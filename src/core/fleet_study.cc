@@ -85,7 +85,7 @@ FleetStudy::FleetStudy(StudyOptions options)
       // The repair stream is a fresh Split label: Split is a pure function of (parent
       // identity, label) and never advances the parent, so adding it leaves every existing
       // stream untouched — a disabled audit is bit-invisible.
-      repair_(ResolveAuditOptions(options), rng_.Split(0xb1a5)),
+      repair_(ResolveAuditOptions(options), rng_.Split(0xb1a5), options.control_plane.chaos),
       mca_log_(kMcaLogCapacity) {
   report_.machines = fleet_.machine_count();
   report_.cores = fleet_.core_count();

@@ -83,7 +83,7 @@ struct StudyOptions {
   // mitigate/repair_orchestrator.h). Disabled by default; a study with `audit.enabled` false
   // tags nothing, repairs nothing, and produces a report bit-identical to the pre-audit
   // engine. `audit.epoch_length` is overridden by the study to its tick (one provenance epoch
-  // per tick), and `audit.chaos` consults only the repair_* knobs.
+  // per tick).
   RepairOptions audit;
 
   // Incident flight recorder (telemetry/trace.h). Disabled by default: recording consumes no

@@ -42,8 +42,9 @@ struct ChaosOptions {
   double machine_restart_per_day = 0.0;
 
   // Repair-path faults (consumed by the RepairOrchestrator's injector, mitigate/
-  // repair_orchestrator.h). The retroactive-repair pipeline is itself fleet software: its
-  // scans can miss, its executors can be defective, and its jobs get preempted.
+  // repair_orchestrator.h, which the study builds from these same options; the control
+  // plane's injector never rolls them). The retroactive-repair pipeline is itself fleet
+  // software: its scans can miss, its executors can be defective, and its jobs get preempted.
   double repair_fail_reverify = 0.0;   // P(re-verification misses a corrupt artifact)
   double repair_on_defective = 0.0;    // P(the repair executor is itself defective)
   double repair_partial = 0.0;         // P(a repair pass is preempted mid-epoch)
@@ -61,10 +62,11 @@ struct ChaosOptions {
   // can die mid-study and must recover from its write-ahead journal. Crash decisions are
   // drawn from a stateless counter-keyed stream of (seed, tick), never from the injector's
   // sequential stream, so a crashed-and-recovered study stays bit-identical to an uncrashed
-  // one. These knobs stay out of enabled(), which gates only two things: whether the plane's
-  // Report passes a signal straight to the report service (InjectReport draws nothing for a
-  // zero-rate knob, so that choice moves no stream), and whether mercurialctl prints its
-  // control-plane section. Folding them in would add that section to a crash-only run.
+  // one. These knobs, like the repair_* ones, stay out of enabled(), which gates only two
+  // things: whether the plane's Report passes a signal straight to the report service
+  // (InjectReport draws nothing for a zero-rate knob, so that choice moves no stream), and
+  // whether mercurialctl prints its control-plane section. Folding them in would add that
+  // section to a crash-only or repair-only run.
   double controller_crash_per_day = 0.0;  // P per day that the controller dies and recovers
   int controller_crash_every_ticks = 0;   // deterministic: crash after every k-th tick (0=off)
   double journal_torn_tail = 0.0;  // P(a crash also tears bytes off the journal tail)
@@ -76,8 +78,7 @@ struct ChaosOptions {
 
   bool enabled() const {
     return drop_report > 0.0 || delay_report > 0.0 || duplicate_report > 0.0 ||
-           abort_interrogation > 0.0 || machine_restart_per_day > 0.0 || repair_enabled() ||
-           verdict_enabled();
+           abort_interrogation > 0.0 || machine_restart_per_day > 0.0 || verdict_enabled();
   }
 
   bool verdict_enabled() const {

@@ -27,7 +27,7 @@ Status RepairOptions::Validate() const {
   if (onset_margin.seconds() < 0 || max_lookback.seconds() < 0) {
     return InvalidArgumentError("repair onset_margin and max_lookback must be >= 0");
   }
-  return chaos.Validate();
+  return Status::Ok();
 }
 
 uint64_t RepairOrchestrator::Task::remaining_produced() const {
@@ -46,8 +46,8 @@ uint64_t RepairOrchestrator::Task::remaining_corrupt() const {
   return total;
 }
 
-RepairOrchestrator::RepairOrchestrator(RepairOptions options, Rng rng)
-    : options_(options), rng_(rng), chaos_(options.chaos, rng.Split(0x4e9a1c)) {}
+RepairOrchestrator::RepairOrchestrator(RepairOptions options, Rng rng, const ChaosOptions& chaos)
+    : options_(options), rng_(rng), chaos_(chaos, rng.Split(0x4e9a1c)) {}
 
 void RepairOrchestrator::Trace(uint64_t core, TraceEventKind kind, TraceCause cause,
                                uint64_t detail) {

@@ -364,9 +364,10 @@ TEST(RepairOrchestratorTest, DurableCodecRoundTripsAndRefusesPrefixes) {
   ledger.NoteSignal(8, SimTime::Days(2));
   RepairOptions options = BaseRepairOptions();
   options.repair_budget_per_tick = 12;
-  options.chaos.repair_partial = 0.5;
-  options.chaos.repair_fail_reverify = 0.2;
-  RepairOrchestrator repair(options, Rng(5));
+  ChaosOptions chaos;
+  chaos.repair_partial = 0.5;
+  chaos.repair_fail_reverify = 0.2;
+  RepairOrchestrator repair(options, Rng(5), chaos);
   DefectivePool(repair);
   repair.OnConviction(SimTime::Days(6), 8, ledger);
   repair.OnConviction(SimTime::Days(6), 3, ledger);
@@ -375,7 +376,7 @@ TEST(RepairOrchestratorTest, DurableCodecRoundTripsAndRefusesPrefixes) {
   ASSERT_GT(repair.queued_tasks(), 0u);
   ASSERT_GT(repair.stats().retries_scheduled, 0u);
 
-  ExpectDurableCodecContract(repair, RepairOrchestrator(options, Rng(5)));
+  ExpectDurableCodecContract(repair, RepairOrchestrator(options, Rng(5), chaos));
 }
 
 // --- Audited fleet study under repair chaos ---------------------------------------------------
@@ -398,9 +399,9 @@ TEST(BlastRadiusStudyTest, ChaoticRepairConservesEveryInjectedCorruption) {
   options.audit.max_backlog_artifacts = 64;
   options.audit.max_attempts = 3;
   options.audit.retry_backoff = SimTime::Days(1);
-  options.audit.chaos.repair_fail_reverify = 0.05;
-  options.audit.chaos.repair_on_defective = 0.20;
-  options.audit.chaos.repair_partial = 0.10;
+  options.control_plane.chaos.repair_fail_reverify = 0.05;
+  options.control_plane.chaos.repair_on_defective = 0.20;
+  options.control_plane.chaos.repair_partial = 0.10;
 
   FleetStudy study(options);
   const StudyReport report = study.Run();

@@ -217,9 +217,9 @@ StudyOptions AuditHarness(int shards, int threads) {
   options.audit.repair_budget_per_tick = 256;
   options.audit.max_attempts = 3;
   options.audit.retry_backoff = SimTime::Days(1);
-  options.audit.chaos.repair_fail_reverify = 0.02;
-  options.audit.chaos.repair_on_defective = 0.10;
-  options.audit.chaos.repair_partial = 0.10;
+  options.control_plane.chaos.repair_fail_reverify = 0.02;
+  options.control_plane.chaos.repair_on_defective = 0.10;
+  options.control_plane.chaos.repair_partial = 0.10;
   return options;
 }
 
@@ -277,9 +277,9 @@ StudyOptions TraceHarness(bool chaos, bool audit, int threads) {
     options.audit.repair_budget_per_tick = 256;
     options.audit.max_attempts = 3;
     options.audit.retry_backoff = SimTime::Days(1);
-    options.audit.chaos.repair_fail_reverify = 0.02;
-    options.audit.chaos.repair_on_defective = 0.10;
-    options.audit.chaos.repair_partial = 0.10;
+    options.control_plane.chaos.repair_fail_reverify = 0.02;
+    options.control_plane.chaos.repair_on_defective = 0.10;
+    options.control_plane.chaos.repair_partial = 0.10;
   }
   options.trace.enabled = true;
   return options;
@@ -405,9 +405,9 @@ StudyOptions SparseHarness(uint64_t seed, bool chaos, bool audit, bool sparse, i
     options.audit.repair_budget_per_tick = 256;
     options.audit.max_attempts = 3;
     options.audit.retry_backoff = SimTime::Days(1);
-    options.audit.chaos.repair_fail_reverify = 0.02;
-    options.audit.chaos.repair_on_defective = 0.10;
-    options.audit.chaos.repair_partial = 0.10;
+    options.control_plane.chaos.repair_fail_reverify = 0.02;
+    options.control_plane.chaos.repair_on_defective = 0.10;
+    options.control_plane.chaos.repair_partial = 0.10;
   }
   options.trace.enabled = true;
   options.sparse_engine = sparse;
