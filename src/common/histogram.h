@@ -67,7 +67,6 @@ class TimeSeries {
   double bucket_sum(size_t i) const { return buckets_[i].sum; }
   uint64_t bucket_samples(size_t i) const { return buckets_[i].samples; }
   double bucket_mean(size_t i) const;
-  SimTime bucket_start(size_t i) const { return SimTime(period_.seconds() * static_cast<int64_t>(i)); }
   SimTime period() const { return period_; }
 
   // Sums across all buckets.

@@ -29,7 +29,6 @@ class Rng {
   Rng Split(uint64_t label) const;
 
   uint64_t NextU64();
-  uint32_t NextU32() { return static_cast<uint32_t>(NextU64() >> 32); }
 
   // Uniform in [0, 1).
   double NextDouble();

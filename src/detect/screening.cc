@@ -133,10 +133,6 @@ uint64_t ScreeningOrchestrator::OfflineBatteryOps(SimTime now) const {
   return options_.offline_iterations * CoveredUnitCount(now);
 }
 
-uint64_t ScreeningOrchestrator::OnlineBatteryOps(SimTime now) const {
-  return options_.online_iterations * CoveredUnitCount(now);
-}
-
 uint64_t ScreeningOrchestrator::ThrottleOffline(SimTime now, SimTime defer) {
   if (!options_.offline_enabled || defer.seconds() <= 0) {
     return 0;

@@ -170,9 +170,8 @@ class ScreeningOrchestrator {
   ShardScreenOutcome TickShard(SimTime now, SimTime dt, uint64_t core_begin, uint64_t core_end,
                                Fleet& fleet, const CoreScheduler& scheduler, Rng& rng);
 
-  // Estimated micro-ops one offline (resp. online) battery costs, for capacity accounting.
+  // Estimated micro-ops one offline battery costs, for capacity accounting.
   uint64_t OfflineBatteryOps(SimTime now) const;
-  uint64_t OnlineBatteryOps(SimTime now) const;
 
   // Graceful-degradation hook for the quarantine control plane's capacity guardrail: pushes
   // every offline screen that would come due within (now, now + defer] out to now + defer,

@@ -7,20 +7,6 @@
 
 namespace mercurial {
 
-const char* ArtifactKindName(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::kChecksummedWrite:
-      return "checksummed_write";
-    case ArtifactKind::kLogEpoch:
-      return "log_epoch";
-    case ArtifactKind::kCheckpoint:
-      return "checkpoint";
-    case ArtifactKind::kPlainOutput:
-      return "plain_output";
-  }
-  return "unknown";
-}
-
 ArtifactKind ArtifactKindForWorkload(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kMemcpy:

@@ -55,8 +55,6 @@ enum class ArtifactKind : uint8_t {
 
 inline constexpr int kArtifactKindCount = 4;
 
-const char* ArtifactKindName(ArtifactKind kind);
-
 // Maps a standard-corpus workload to the artifact class its outputs persist as. Copy-heavy
 // workloads feed the checksummed store path, lock/index workloads the replicated log, long
 // kernel/GC computations checkpoint, and everything else externalizes plain outputs.

@@ -53,7 +53,6 @@ class ReplicatedBlobStore {
   uint64_t Scrub();
 
   const ScrubStoreStats& stats() const { return stats_; }
-  size_t replica_count() const { return servers_.size(); }
   size_t size() const { return blobs_.size(); }
 
  private:
