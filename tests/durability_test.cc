@@ -391,10 +391,8 @@ StudyOptions RecoveryStudyOptions() {
   options.threads = 2;
   options.control_plane.max_pending = 64;
   options.control_plane.max_retries = 3;
-  // Slow retries + frequent aborts keep the interrogation pipeline busy enough that books
-  // are open when the study ends (the regression below is about end-of-study books): with
-  // suspects admitted in ascending core order, 8-day backoff leaves both a pending suspect
-  // and a probation record open at the end.
+  // Slow retries + frequent aborts keep the interrogation pipeline busy, so suspects are
+  // still pending when the study ends.
   options.control_plane.retry_backoff = SimTime::Days(8);
   options.control_plane.drain_latency = SimTime::Hours(12);
   options.control_plane.drain_timeout = SimTime::Days(4);
@@ -406,8 +404,8 @@ StudyOptions RecoveryStudyOptions() {
   options.control_plane.quorum.witnesses = 3;
   options.control_plane.quorum.witness_error_rate = 0.30;
   options.control_plane.probation.enabled = true;
-  // Long probation (4 x 15-day clean windows) so convictions from the back half of the 80-day
-  // study are still on the books at the end — the pending-at-end regression needs open books.
+  // Long probation (4 x 15-day clean windows), so convictions from the back half of the
+  // 80-day study are still on the books at the end.
   options.control_plane.probation.window = SimTime::Days(15);
   options.control_plane.probation.clean_windows_to_reinstate = 4;
   options.control_plane.probation.weak_after_attempts = 1;
@@ -422,10 +420,14 @@ StudyOptions RecoveryStudyOptions() {
 // recovered controller finishes with the same open books as one that never died.
 TEST(DurabilityTest, PendingAtEndBooksSurviveControllerCrashes) {
   StudyOptions uncrashed = RecoveryStudyOptions();
+  // Reinstatement takes 6 x 15 = 90 clean days, longer than the 80-day study, so every
+  // probation entry that does not escalate is still open at the end: the open books follow
+  // from the options, not from one trajectory.
+  uncrashed.control_plane.probation.clean_windows_to_reinstate = 6;
   FleetStudy reference_study(uncrashed);
   const StudyReport reference = reference_study.Run();
 
-  StudyOptions crashed = RecoveryStudyOptions();
+  StudyOptions crashed = uncrashed;
   crashed.durability.enabled = true;
   crashed.control_plane.chaos.controller_crash_every_ticks = 1;  // die after every tick
   FleetStudy crashed_study(crashed);
