@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "src/common/logging.h"
@@ -149,6 +150,14 @@ bool FlagSet::GetBool(const std::string& name) const {
   bool parsed = false;
   MERCURIAL_CHECK(ParseBoolText(Require(name, Type::kBool).value, parsed));
   return parsed;
+}
+
+bool FlagSet::ParseOrUsage(int argc, const char* const* argv, int first) {
+  const Status status = Parse(argc, argv, first);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), Usage().c_str());
+  }
+  return status.ok();
 }
 
 std::string FlagSet::Usage() const {

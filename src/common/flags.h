@@ -31,6 +31,9 @@ class FlagSet {
   // collected into positional(). Returns INVALID_ARGUMENT for unknown flags or bad values.
   Status Parse(int argc, const char* const* argv, int first = 1);
 
+  // Parse for a binary's main: on an error, prints it and Usage() to stderr and returns false.
+  bool ParseOrUsage(int argc, const char* const* argv, int first = 1);
+
   std::string GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;

@@ -226,5 +226,22 @@ TEST(FlagsTest, UsageListsFlags) {
   EXPECT_NE(usage.find("how many"), std::string::npos);
 }
 
+TEST(FlagsTest, ParseOrUsagePrintsTheErrorAndUsage) {
+  FlagSet flags;
+  flags.DefineInt("count", 5, "how many");
+  const char* good[] = {"prog", "--count=2"};
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(flags.ParseOrUsage(2, good));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(flags.GetInt("count"), 2);
+
+  const char* bad[] = {"prog", "--typo=1"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(flags.ParseOrUsage(2, bad));
+  const std::string printed = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(printed.rfind("INVALID_ARGUMENT", 0), 0u) << printed;
+  EXPECT_NE(printed.find("\nflags:\n" + flags.Usage()), std::string::npos) << printed;
+}
+
 }  // namespace
 }  // namespace mercurial
