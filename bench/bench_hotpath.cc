@@ -24,11 +24,11 @@
 // bound exceeds --max-trace-overhead-pct, 0 otherwise.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/core/fleet_study.h"
@@ -37,11 +37,6 @@
 using namespace mercurial;
 
 namespace {
-
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 // A defective core representative of an interrogation target: several defects on the hot
 // integer units with realistic (low) base rates, f/V/T slopes, aging growth past onset, a
@@ -108,31 +103,29 @@ DispatchResult RunDispatch(uint64_t ops, uint64_t seed, bool fast_path) {
   // Deterministic operand stream, independent of the core's defect stream, so both paths see
   // byte-identical inputs.
   uint64_t operand_state = 0x6d65726375726961ull ^ seed;
-  const auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < ops; ++i) {
-    const uint64_t a = SplitMix64(operand_state);
-    const uint64_t b = SplitMix64(operand_state);
-    switch (i & 3) {
-      case 0:
-        core.Alu(AluOp::kAdd, a, b);
-        break;
-      case 1:
-        core.Alu(AluOp::kXor, a, b);
-        break;
-      case 2:
-        core.Mul(a, b);
-        break;
-      default:
-        core.Alu(AluOp::kRotl, a, b);
-        break;
-    }
-    if (core.TakePendingMachineCheck()) {
-      // Consumed like a task harness would; keeps the pending flag from saturating.
-    }
-  }
-  const auto stop = std::chrono::steady_clock::now();
   DispatchResult result;
-  result.seconds = std::chrono::duration<double>(stop - start).count();
+  result.seconds = bench::TimeSeconds([&] {
+    for (uint64_t i = 0; i < ops; ++i) {
+      const uint64_t a = SplitMix64(operand_state);
+      const uint64_t b = SplitMix64(operand_state);
+      switch (i & 3) {
+        case 0:
+          core.Alu(AluOp::kAdd, a, b);
+          break;
+        case 1:
+          core.Alu(AluOp::kXor, a, b);
+          break;
+        case 2:
+          core.Mul(a, b);
+          break;
+        default:
+          core.Alu(AluOp::kRotl, a, b);
+          break;
+      }
+      // Consumed like a task harness would; keeps the pending flag from saturating.
+      core.TakePendingMachineCheck();
+    }
+  });
   result.ops = core.counters().TotalOps();
   result.corruptions = core.counters().corruptions;
   result.machine_checks = core.counters().machine_checks;
@@ -159,10 +152,7 @@ StudyResult RunStudy(size_t machines, int days, uint64_t seed, bool fast_path,
   FleetStudy study(options);
   SetDispatchFastPath(true);  // restore the default for anything constructed later
   StudyResult result;
-  const auto start = std::chrono::steady_clock::now();
-  result.report = study.Run();
-  const auto stop = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(stop - start).count();
+  result.seconds = bench::TimeSeconds([&] { result.report = study.Run(); });
   return result;
 }
 
@@ -179,9 +169,7 @@ int main(int argc, char** argv) {
                      "fail (exit 3) if the flight-recorder overhead bound exceeds this percent "
                      "(0 = report only)");
   flags.DefineString("json", "BENCH_hotpath.json", "path for the JSON artifact ('' = skip)");
-  const Status status = flags.Parse(argc, argv, 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+  if (!flags.ParseOrUsage(argc, argv)) {
     return 1;
   }
 
@@ -202,8 +190,8 @@ int main(int argc, char** argv) {
     ref_times.push_back(ref.seconds);
     fast_times.push_back(fast.seconds);
   }
-  const double ref_s = MedianSeconds(ref_times);
-  const double fast_s = MedianSeconds(fast_times);
+  const double ref_s = bench::Median(ref_times);
+  const double fast_s = bench::Median(fast_times);
   const double ref_ops_per_sec = static_cast<double>(ref.ops) / ref_s;
   const double fast_ops_per_sec = static_cast<double>(fast.ops) / fast_s;
   const bool counters_match = ref.ops == fast.ops && ref.corruptions == fast.corruptions &&
@@ -231,18 +219,21 @@ int main(int argc, char** argv) {
     study_ref_times.push_back(study_ref.seconds);
     study_fast_times.push_back(study_fast.seconds);
   }
-  const double study_ref_s = MedianSeconds(study_ref_times);
-  const double study_fast_s = MedianSeconds(study_fast_times);
+  const double study_ref_s = bench::Median(study_ref_times);
+  const double study_fast_s = bench::Median(study_fast_times);
   const bool study_match = study_ref.report == study_fast.report;
+  const double study_ref_units_per_sec =
+      static_cast<double>(study_ref.report.work_units_executed) / study_ref_s;
+  const double study_fast_units_per_sec =
+      static_cast<double>(study_fast.report.work_units_executed) / study_fast_s;
 
   std::printf("# hotpath — end-to-end: %zu machines, %d days, 1 shard, median of %d\n",
               machines, days, repeats);
   std::printf("%-24s %12s %16s %10s\n", "config", "wall_s", "work_units/sec", "speedup");
   std::printf("%-24s %12.3f %16.0f %9.2fx\n", "reference path", study_ref_s,
-              static_cast<double>(study_ref.report.work_units_executed) / study_ref_s, 1.0);
+              study_ref_units_per_sec, 1.0);
   std::printf("%-24s %12.3f %16.0f %9.2fx\n", "fast path", study_fast_s,
-              static_cast<double>(study_fast.report.work_units_executed) / study_fast_s,
-              study_ref_s / study_fast_s);
+              study_fast_units_per_sec, study_ref_s / study_fast_s);
   std::printf("# study outputs bit-identical: %s\n", study_match ? "yes" : "NO — BUG");
 
   // --- tracing overhead ----------------------------------------------------------------------
@@ -264,9 +255,8 @@ int main(int argc, char** argv) {
     trace_shadow_times.push_back(
         RunStudy(machines, days, seed, /*fast_path=*/true, shadow_trace).seconds);
   }
-  const double trace_off_s = *std::min_element(trace_off_times.begin(), trace_off_times.end());
-  const double trace_shadow_s =
-      *std::min_element(trace_shadow_times.begin(), trace_shadow_times.end());
+  const double trace_off_s = bench::Min(trace_off_times);
+  const double trace_shadow_s = bench::Min(trace_shadow_times);
   const double trace_overhead_pct = (trace_shadow_s / trace_off_s - 1.0) * 100.0;
   const double max_trace_overhead_pct = flags.GetDouble("max-trace-overhead-pct");
   const bool trace_overhead_ok =
@@ -283,49 +273,34 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"hotpath\",\n");
-    std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-    std::fprintf(f, "  \"dispatch\": {\n");
-    std::fprintf(f, "    \"ops\": %llu,\n", static_cast<unsigned long long>(ops));
-    std::fprintf(f, "    \"defects_on_core\": 4,\n");
-    std::fprintf(f, "    \"reference_wall_seconds\": %.6f,\n", ref_s);
-    std::fprintf(f, "    \"fast_wall_seconds\": %.6f,\n", fast_s);
-    std::fprintf(f, "    \"reference_ops_per_sec\": %.0f,\n", ref_ops_per_sec);
-    std::fprintf(f, "    \"fast_ops_per_sec\": %.0f,\n", fast_ops_per_sec);
-    std::fprintf(f, "    \"speedup\": %.4f,\n", ref_s / fast_s);
-    std::fprintf(f, "    \"counters_bit_identical\": %s\n", counters_match ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"end_to_end\": {\n");
-    std::fprintf(f, "    \"machines\": %zu,\n", machines);
-    std::fprintf(f, "    \"days\": %d,\n", days);
-    std::fprintf(f, "    \"work_units\": %llu,\n",
-                 static_cast<unsigned long long>(study_fast.report.work_units_executed));
-    std::fprintf(f, "    \"reference_wall_seconds\": %.6f,\n", study_ref_s);
-    std::fprintf(f, "    \"fast_wall_seconds\": %.6f,\n", study_fast_s);
-    std::fprintf(f, "    \"reference_work_units_per_sec\": %.0f,\n",
-                 static_cast<double>(study_ref.report.work_units_executed) / study_ref_s);
-    std::fprintf(f, "    \"fast_work_units_per_sec\": %.0f,\n",
-                 static_cast<double>(study_fast.report.work_units_executed) / study_fast_s);
-    std::fprintf(f, "    \"speedup\": %.4f,\n", study_ref_s / study_fast_s);
-    std::fprintf(f, "    \"outputs_bit_identical\": %s\n", study_match ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"tracing\": {\n");
-    std::fprintf(f, "    \"off_wall_seconds\": %.6f,\n", trace_off_s);
-    std::fprintf(f, "    \"shadow_wall_seconds\": %.6f,\n", trace_shadow_s);
-    std::fprintf(f, "    \"overhead_bound_pct\": %.4f,\n", trace_overhead_pct);
-    std::fprintf(f, "    \"budget_pct\": %.4f,\n", max_trace_overhead_pct);
-    std::fprintf(f, "    \"within_budget\": %s\n", trace_overhead_ok ? "true" : "false");
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_path.c_str());
+  const bench::JsonObject record =
+      bench::Record("hotpath")
+          .Int("repeats", repeats)
+          .Obj("dispatch",
+               bench::JsonObject()
+                   .Int("ops", ops).Int("defects_on_core", 4)
+                   .Num("reference_wall_seconds", ref_s).Num("fast_wall_seconds", fast_s)
+                   .Num("reference_ops_per_sec", ref_ops_per_sec)
+                   .Num("fast_ops_per_sec", fast_ops_per_sec).Num("speedup", ref_s / fast_s)
+                   .Bool("counters_bit_identical", counters_match))
+          .Obj("end_to_end",
+               bench::JsonObject()
+                   .Int("machines", machines).Int("days", days)
+                   .Int("work_units", study_fast.report.work_units_executed)
+                   .Num("reference_wall_seconds", study_ref_s)
+                   .Num("fast_wall_seconds", study_fast_s)
+                   .Num("reference_work_units_per_sec", study_ref_units_per_sec)
+                   .Num("fast_work_units_per_sec", study_fast_units_per_sec)
+                   .Num("speedup", study_ref_s / study_fast_s)
+                   .Bool("outputs_bit_identical", study_match))
+          .Obj("tracing", bench::JsonObject()
+                              .Num("off_wall_seconds", trace_off_s)
+                              .Num("shadow_wall_seconds", trace_shadow_s)
+                              .Num("overhead_bound_pct", trace_overhead_pct)
+                              .Num("budget_pct", max_trace_overhead_pct)
+                              .Bool("within_budget", trace_overhead_ok));
+  if (!bench::WriteRecord(flags.GetString("json"), record)) {
+    return 1;
   }
   if (!(counters_match && study_match)) {
     return 2;

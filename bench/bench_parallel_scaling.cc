@@ -35,12 +35,12 @@
 // README.md, "BENCH_parallel.json field guide").
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/core/fleet_study.h"
 
@@ -99,11 +99,6 @@ StudyOptions BigHealthyOptions(uint64_t seed, size_t machines, int days, int tic
   return options;
 }
 
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 LadderRow RunRow(const std::string& label, const StudyOptions& base, int shards, int threads,
                  bool sparse, int repeats, unsigned hardware_threads) {
   LadderRow row;
@@ -121,12 +116,8 @@ LadderRow RunRow(const std::string& label, const StudyOptions& base, int shards,
     options.threads = threads;
     options.sparse_engine = sparse;
     FleetStudy study(options);
-    const auto start = std::chrono::steady_clock::now();
-    const StudyReport report = study.Run();
-    const auto stop = std::chrono::steady_clock::now();
-    samples.push_back(std::chrono::duration<double>(stop - start).count());
     // Identical every repeat (the engine is deterministic), so last-write is fine.
-    row.report = report;
+    samples.push_back(bench::TimeSeconds([&] { row.report = study.Run(); }));
     const MetricRegistry& metrics = study.metrics();
     row.wheel_scheduled = metrics.counter("screening.wheel_scheduled");
     row.wheel_drained = metrics.counter("screening.wheel_drained");
@@ -136,35 +127,25 @@ LadderRow RunRow(const std::string& label, const StudyOptions& base, int shards,
     row.active_admitted = metrics.counter("production.active_admitted");
     row.latent_at_end = metrics.counter("production.latent_at_end");
   }
-  row.seconds = MedianSeconds(samples);
+  row.seconds = bench::Median(samples);
   return row;
 }
 
-void PrintRowJson(std::FILE* f, const LadderRow& row, double serial_s, double sharded_t1_s,
-                  bool last) {
-  std::fprintf(f,
-               "    {\"config\": \"%s\", \"shards\": %d, \"threads\": %d, "
-               "\"sparse_engine\": %s, \"cores\": %zu, \"wall_seconds\": %.6f, "
-               "\"speedup_vs_serial\": %.4f, \"speedup_vs_threads1\": %.4f, "
-               "\"work_units\": %llu, \"screening_ops\": %llu, "
-               "\"hardware_concurrency\": %u, \"underprovisioned\": %s, "
-               "\"wheel_scheduled\": %llu, \"wheel_drained\": %llu, "
-               "\"wheel_overflow_inserts\": %llu, \"wheel_max_bucket\": %llu, "
-               "\"wheel_peak_occupancy\": %llu, \"active_admitted\": %llu, "
-               "\"latent_at_end\": %llu}%s\n",
-               row.label.c_str(), row.shards, row.threads, row.sparse ? "true" : "false",
-               row.report.cores, row.seconds, serial_s / row.seconds,
-               sharded_t1_s / row.seconds,
-               static_cast<unsigned long long>(row.report.work_units_executed),
-               static_cast<unsigned long long>(row.report.screening_ops), row.hardware_threads,
-               row.underprovisioned ? "true" : "false",
-               static_cast<unsigned long long>(row.wheel_scheduled),
-               static_cast<unsigned long long>(row.wheel_drained),
-               static_cast<unsigned long long>(row.wheel_overflow_inserts),
-               static_cast<unsigned long long>(row.wheel_max_bucket),
-               static_cast<unsigned long long>(row.wheel_peak_occupancy),
-               static_cast<unsigned long long>(row.active_admitted),
-               static_cast<unsigned long long>(row.latent_at_end), last ? "" : ",");
+bench::JsonObject RowJson(const LadderRow& row, double serial_s, double sharded_t1_s) {
+  return bench::JsonObject()
+      .Str("config", row.label).Int("shards", row.shards).Int("threads", row.threads)
+      .Bool("sparse_engine", row.sparse).Int("cores", row.report.cores)
+      .Num("wall_seconds", row.seconds).Num("speedup_vs_serial", serial_s / row.seconds)
+      .Num("speedup_vs_threads1", sharded_t1_s / row.seconds)
+      .Int("work_units", row.report.work_units_executed)
+      .Int("screening_ops", row.report.screening_ops)
+      .Int("hardware_concurrency", row.hardware_threads)
+      .Bool("underprovisioned", row.underprovisioned)
+      .Int("wheel_scheduled", row.wheel_scheduled).Int("wheel_drained", row.wheel_drained)
+      .Int("wheel_overflow_inserts", row.wheel_overflow_inserts)
+      .Int("wheel_max_bucket", row.wheel_max_bucket)
+      .Int("wheel_peak_occupancy", row.wheel_peak_occupancy)
+      .Int("active_admitted", row.active_admitted).Int("latent_at_end", row.latent_at_end);
 }
 
 }  // namespace
@@ -187,9 +168,7 @@ int main(int argc, char** argv) {
                      "fail (exit 3) if sparse wall-clock speedup over dense is below this "
                      "(0 = report only)");
   flags.DefineString("json", "BENCH_parallel.json", "path for the JSON artifact ('' = skip)");
-  const Status status = flags.Parse(argc, argv, 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+  if (!flags.ParseOrUsage(argc, argv)) {
     return 1;
   }
 
@@ -282,41 +261,26 @@ int main(int argc, char** argv) {
                 sparse_consistent ? "yes" : "NO — BUG");
   }
 
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"parallel_scaling\",\n");
-    std::fprintf(f, "  \"machines\": %zu,\n", machines);
-    std::fprintf(f, "  \"days\": %d,\n", days);
-    std::fprintf(f, "  \"shards\": %d,\n", shards);
-    std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-    std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-    std::fprintf(f, "  \"underprovisioned\": %s,\n", any_underprovisioned ? "true" : "false");
-    std::fprintf(f, "  \"sharded_rows_bit_consistent\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "  \"big_machines\": %zu,\n", big_machines);
-    std::fprintf(f, "  \"big_days\": %d,\n", big_days);
-    std::fprintf(f, "  \"big_tick_minutes\": %d,\n", big_tick_minutes);
-    std::fprintf(f, "  \"sparse_speedup\": %.4f,\n", sparse_speedup);
-    std::fprintf(f, "  \"min_sparse_speedup\": %.4f,\n", min_sparse_speedup);
-    std::fprintf(f, "  \"sparse_rows_bit_consistent\": %s,\n",
-                 sparse_consistent ? "true" : "false");
-    std::fprintf(f, "  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      PrintRowJson(f, rows[i], serial_s, sharded_t1_s,
-                   i + 1 == rows.size() && big_rows.empty());
-    }
-    for (size_t i = 0; i < big_rows.size(); ++i) {
-      PrintRowJson(f, big_rows[i], serial_s, sharded_t1_s, i + 1 == big_rows.size());
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_path.c_str());
+  std::vector<bench::JsonObject> json_rows;
+  for (const LadderRow& row : rows) {
+    json_rows.push_back(RowJson(row, serial_s, sharded_t1_s));
+  }
+  for (const LadderRow& row : big_rows) {
+    json_rows.push_back(RowJson(row, serial_s, sharded_t1_s));
+  }
+  const bench::JsonObject record =
+      bench::Record("parallel_scaling")
+          .Int("machines", machines).Int("days", days).Int("shards", shards)
+          .Int("repeats", repeats).Int("hardware_concurrency", hw)
+          .Bool("underprovisioned", any_underprovisioned)
+          .Bool("sharded_rows_bit_consistent", deterministic)
+          .Int("big_machines", big_machines).Int("big_days", big_days)
+          .Int("big_tick_minutes", big_tick_minutes)
+          .Num("sparse_speedup", sparse_speedup).Num("min_sparse_speedup", min_sparse_speedup)
+          .Bool("sparse_rows_bit_consistent", sparse_consistent)
+          .Rows("rows", json_rows);
+  if (!bench::WriteRecord(flags.GetString("json"), record)) {
+    return 1;
   }
 
   if (!deterministic || !sparse_consistent) {

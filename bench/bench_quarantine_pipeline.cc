@@ -28,11 +28,11 @@
 //
 // Output: human-readable table on stdout plus a JSON artifact with the raw numbers.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/core/fleet_study.h"
 #include "src/sim/core.h"
@@ -89,11 +89,8 @@ ChaosRow RunOnce(ChaosRow row, const StudyOptions& base, bool fast_path = true) 
   options.control_plane.chaos.abort_interrogation = row.abort_interrogation;
   options.control_plane.chaos.machine_restart_per_day = row.restarts_per_day;
   FleetStudy study(options);
-  const auto start = std::chrono::steady_clock::now();
-  const StudyReport report = study.Run();
-  const auto stop = std::chrono::steady_clock::now();
-  row.seconds = std::chrono::duration<double>(stop - start).count();
-  row.report = report;
+  row.seconds = bench::TimeSeconds([&] { row.report = study.Run(); });
+  const StudyReport& report = row.report;
   row.suspects_admitted = report.control_plane.suspects_admitted;
   row.suspects_shed = report.control_plane.suspects_shed;
   row.retries = report.control_plane.retries_scheduled;
@@ -143,10 +140,8 @@ VerdictRow RunVerdictRow(VerdictRow row, const StudyOptions& base, double lying_
   options.control_plane.probation.window = SimTime::Days(7);
   options.control_plane.probation.clean_windows_to_reinstate = 3;
   FleetStudy study(options);
-  const auto start = std::chrono::steady_clock::now();
-  const StudyReport report = study.Run();
-  const auto stop = std::chrono::steady_clock::now();
-  row.seconds = std::chrono::duration<double>(stop - start).count();
+  StudyReport report;
+  row.seconds = bench::TimeSeconds([&] { report = study.Run(); });
   row.false_positive_retirements = report.quarantine.false_positive_retirements;
   row.true_positive_retirements = report.quarantine.true_positive_retirements;
   row.missed_confessions = report.quarantine.missed_confessions;
@@ -171,9 +166,7 @@ int main(int argc, char** argv) {
   flags.DefineDouble("budget", 0.25, "quarantine capacity budget (fraction of cores)");
   flags.DefineDouble("lying-rate", 0.15, "lying-tester rate for the verdict sweep");
   flags.DefineString("json", "BENCH_quarantine.json", "path for the JSON artifact ('' = skip)");
-  const Status status = flags.Parse(argc, argv, 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+  if (!flags.ParseOrUsage(argc, argv)) {
     return 1;
   }
 
@@ -224,6 +217,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %10s %14s %8s %8s %8s %12s\n", "config", "wall_s", "suspects/sec",
               "shed", "retries", "tp_ret", "stranded_%");
   bool budget_held = true;
+  std::vector<bench::JsonObject> chaos_json;
   for (const ChaosRow& row : rows) {
     std::printf("%-12s %10.3f %14.1f %8llu %8llu %8llu %11.4f%%\n", row.label.c_str(),
                 row.seconds, row.suspects_per_sec,
@@ -231,6 +225,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.retries),
                 static_cast<unsigned long long>(row.true_positive_retirements),
                 row.stranded_fraction * 100.0);
+    chaos_json.push_back(
+        bench::JsonObject()
+            .Str("config", row.label).Num("wall_seconds", row.seconds)
+            .Int("suspects_admitted", row.suspects_admitted)
+            .Num("suspects_per_second", row.suspects_per_sec)
+            .Int("suspects_shed", row.suspects_shed).Int("retries_scheduled", row.retries)
+            .Int("true_positive_retirements", row.true_positive_retirements)
+            .Num("stranded_fraction", row.stranded_fraction));
     if (row.stranded_fraction > budget) {
       budget_held = false;
     }
@@ -262,6 +264,7 @@ int main(int argc, char** argv) {
   std::printf("\n# verdict sweep — lying tester rate %.2f\n", lying_rate);
   std::printf("%-18s %10s %8s %8s %8s %8s %8s %10s %14s\n", "config", "wall_s", "fp_ret",
               "tp_ret", "missed", "prob_in", "reinst", "overrides", "probation_cs");
+  std::vector<bench::JsonObject> verdict_json;
   for (const VerdictRow& row : verdicts) {
     std::printf("%-18s %10.3f %8llu %8llu %8llu %8llu %8llu %10llu %14.0f\n", row.label.c_str(),
                 row.seconds, static_cast<unsigned long long>(row.false_positive_retirements),
@@ -271,6 +274,19 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.reinstatements),
                 static_cast<unsigned long long>(row.quorum_overrides),
                 row.probation_core_seconds);
+    verdict_json.push_back(
+        bench::JsonObject()
+            .Str("config", row.label).Int("witnesses", row.witnesses)
+            .Bool("probation", row.probation).Num("wall_seconds", row.seconds)
+            .Int("false_positive_retirements", row.false_positive_retirements)
+            .Int("true_positive_retirements", row.true_positive_retirements)
+            .Int("missed_confessions", row.missed_confessions)
+            .Int("probation_entries", row.probation_entries)
+            .Int("reinstatements", row.reinstatements)
+            .Int("quorum_judgments", row.quorum_judgments)
+            .Int("quorum_overrides", row.quorum_overrides)
+            .Num("stranded_fraction", row.stranded_fraction)
+            .Num("probation_core_seconds", row.probation_core_seconds));
   }
 
   // Gate: (a) no quorum row may strand more healthy cores than the single tester in the same
@@ -306,73 +322,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(best.missed_confessions),
               no_extra_escapes ? "yes" : "NO — BUG");
 
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"quarantine_pipeline\",\n");
-    std::fprintf(f, "  \"machines\": %zu,\n", machines);
-    std::fprintf(f, "  \"days\": %d,\n", days);
-    std::fprintf(f, "  \"budget_fraction\": %.4f,\n", budget);
-    std::fprintf(f, "  \"budget_held\": %s,\n", budget_held ? "true" : "false");
-    std::fprintf(f, "  \"reference_dispatch_wall_seconds\": %.6f,\n", reference.seconds);
-    std::fprintf(f, "  \"fast_dispatch_wall_seconds\": %.6f,\n", rows[0].seconds);
-    std::fprintf(f, "  \"dispatch_fast_path_speedup\": %.4f,\n",
-                 reference.seconds / rows[0].seconds);
-    std::fprintf(f, "  \"dispatch_outputs_identical\": %s,\n",
-                 reference_match ? "true" : "false");
-    std::fprintf(f, "  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const ChaosRow& row = rows[i];
-      std::fprintf(f,
-                   "    {\"config\": \"%s\", \"wall_seconds\": %.6f, "
-                   "\"suspects_admitted\": %llu, \"suspects_per_second\": %.2f, "
-                   "\"suspects_shed\": %llu, \"retries_scheduled\": %llu, "
-                   "\"true_positive_retirements\": %llu, \"stranded_fraction\": %.6f}%s\n",
-                   row.label.c_str(), row.seconds,
-                   static_cast<unsigned long long>(row.suspects_admitted),
-                   row.suspects_per_sec, static_cast<unsigned long long>(row.suspects_shed),
-                   static_cast<unsigned long long>(row.retries),
-                   static_cast<unsigned long long>(row.true_positive_retirements),
-                   row.stranded_fraction, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"verdict_sweep\": {\n");
-    std::fprintf(f, "    \"lying_tester_rate\": %.4f,\n", lying_rate);
-    std::fprintf(f, "    \"quorum_at_or_below_single_fp\": %s,\n",
-                 verdict_gate ? "true" : "false");
-    std::fprintf(f, "    \"best_row_halves_baseline_fp\": %s,\n", halved ? "true" : "false");
-    std::fprintf(f, "    \"best_row_missed_confessions_in_noise_band\": %s,\n",
-                 no_extra_escapes ? "true" : "false");
-    std::fprintf(f, "    \"rows\": [\n");
-    for (size_t i = 0; i < verdicts.size(); ++i) {
-      const VerdictRow& row = verdicts[i];
-      std::fprintf(f,
-                   "      {\"config\": \"%s\", \"witnesses\": %d, \"probation\": %s, "
-                   "\"wall_seconds\": %.6f, \"false_positive_retirements\": %llu, "
-                   "\"true_positive_retirements\": %llu, \"missed_confessions\": %llu, "
-                   "\"probation_entries\": %llu, \"reinstatements\": %llu, "
-                   "\"quorum_judgments\": %llu, \"quorum_overrides\": %llu, "
-                   "\"stranded_fraction\": %.6f, \"probation_core_seconds\": %.0f}%s\n",
-                   row.label.c_str(), row.witnesses, row.probation ? "true" : "false",
-                   row.seconds,
-                   static_cast<unsigned long long>(row.false_positive_retirements),
-                   static_cast<unsigned long long>(row.true_positive_retirements),
-                   static_cast<unsigned long long>(row.missed_confessions),
-                   static_cast<unsigned long long>(row.probation_entries),
-                   static_cast<unsigned long long>(row.reinstatements),
-                   static_cast<unsigned long long>(row.quorum_judgments),
-                   static_cast<unsigned long long>(row.quorum_overrides),
-                   row.stranded_fraction, row.probation_core_seconds,
-                   i + 1 < verdicts.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  }\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_path.c_str());
+  const bench::JsonObject record =
+      bench::Record("quarantine_pipeline")
+          .Int("machines", machines).Int("days", days)
+          .Num("budget_fraction", budget).Bool("budget_held", budget_held)
+          .Num("reference_dispatch_wall_seconds", reference.seconds)
+          .Num("fast_dispatch_wall_seconds", rows[0].seconds)
+          .Num("dispatch_fast_path_speedup", reference.seconds / rows[0].seconds)
+          .Bool("dispatch_outputs_identical", reference_match)
+          .Rows("rows", chaos_json)
+          .Obj("verdict_sweep",
+               bench::JsonObject()
+                   .Num("lying_tester_rate", lying_rate)
+                   .Bool("quorum_at_or_below_single_fp", verdict_gate)
+                   .Bool("best_row_halves_baseline_fp", halved)
+                   .Bool("best_row_missed_confessions_in_noise_band", no_extra_escapes)
+                   .Rows("rows", verdict_json));
+  if (!bench::WriteRecord(flags.GetString("json"), record)) {
+    return 1;
   }
   if (!verdict_gate || !halved || !no_extra_escapes) {
     return 4;

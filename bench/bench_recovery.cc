@@ -33,12 +33,12 @@
 // 3 if the overhead gate is exceeded, 4 if any recovery fails, 0 otherwise.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/core/fleet_study.h"
 #include "src/durability/journal.h"
@@ -46,11 +46,6 @@
 using namespace mercurial;
 
 namespace {
-
-double MedianSeconds(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
 
 // The big sparse fleet under load: elevated incidence keeps the quorum/probation control plane
 // and the audit ledger busy every tick, so the baseline the journal is measured against is a
@@ -81,10 +76,7 @@ struct RunResult {
 RunResult RunOnce(const StudyOptions& options) {
   RunResult result;
   result.study = std::make_unique<FleetStudy>(options);
-  const auto start = std::chrono::steady_clock::now();
-  result.report = result.study->Run();
-  const auto stop = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(stop - start).count();
+  result.seconds = bench::TimeSeconds([&] { result.report = result.study->Run(); });
   return result;
 }
 
@@ -106,9 +98,7 @@ int main(int argc, char** argv) {
                      "fail (exit 3) if the default-cadence in-run journal fraction "
                      "(EndTick time / study wall time) exceeds this percent (0 = report only)");
   flags.DefineString("json", "BENCH_recovery.json", "path for the JSON artifact ('' = skip)");
-  const Status status = flags.Parse(argc, argv, 1);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+  if (!flags.ParseOrUsage(argc, argv)) {
     return 1;
   }
 
@@ -164,7 +154,7 @@ int main(int argc, char** argv) {
       durable_stats[c] = stats;
     }
   }
-  const double base_s = *std::min_element(base_times.begin(), base_times.end());
+  const double base_s = bench::Min(base_times);
 
   std::printf("# recovery — append overhead: %zu machines / %zu cores, %d daily ticks, "
               "multiplier %.0f, audit on, min of %d\n",
@@ -175,26 +165,28 @@ int main(int argc, char** argv) {
               "-", "-", "-");
   bool reports_match = true;
   double gated_overhead_pct = 0.0;
-  std::vector<double> journal_pcts(cadences.size());
-  std::vector<double> delta_pcts(cadences.size());
-  std::vector<double> journal_us_per_tick(cadences.size());
+  std::vector<bench::JsonObject> cadence_json;
   for (size_t c = 0; c < cadences.size(); ++c) {
-    const double durable_s =
-        *std::min_element(durable_times[c].begin(), durable_times[c].end());
-    journal_pcts[c] = MedianSeconds(durable_fractions[c]);
-    delta_pcts[c] = (durable_s / base_s - 1.0) * 100.0;
-    journal_us_per_tick[c] = journal_pcts[c] / 100.0 * durable_s / big_ticks * 1e6;
+    const double durable_s = bench::Min(durable_times[c]);
+    const double journal_pct = bench::Median(durable_fractions[c]);
+    const double delta_pct = (durable_s / base_s - 1.0) * 100.0;
+    const double journal_us_per_tick = journal_pct / 100.0 * durable_s / big_ticks * 1e6;
     const JournalStats& stats = durable_stats[c];
     char label[64];
     std::snprintf(label, sizeof(label), "journal (snapshot=%llu)",
                   static_cast<unsigned long long>(cadences[c]));
     std::printf("%-26s %12.3f %9.2f%% %+9.2f%% %12.1f %14llu %12llu\n", label, durable_s,
-                journal_pcts[c], delta_pcts[c], journal_us_per_tick[c],
+                journal_pct, delta_pct, journal_us_per_tick,
                 static_cast<unsigned long long>(stats.bytes_written),
                 static_cast<unsigned long long>(stats.snapshots_written));
+    cadence_json.push_back(bench::JsonObject()
+                               .Int("snapshot_every", cadences[c]).Num("journal_pct", journal_pct)
+                               .Num("wall_delta_pct", delta_pct)
+                               .Num("journal_us_per_tick", journal_us_per_tick)
+                               .Int("bytes", stats.bytes_written));
     reports_match = reports_match && base_report == durable_reports[c];
     if (cadences[c] == 64) {
-      gated_overhead_pct = journal_pcts[c];
+      gated_overhead_pct = journal_pct;
     }
   }
   std::printf("# journal%% = in-run EndTick time / study wall (median of %d, gateable); "
@@ -212,13 +204,7 @@ int main(int argc, char** argv) {
   // snapshot_every=1 makes every tick frame a snapshot, so bytes/snapshots is the full-state
   // serialization size (amortizing away the header, manifest, and framing). The trace rings are
   // armed on top of the loaded control plane so the snapshot carries every registered unit.
-  struct SizeRow {
-    size_t machines = 0;
-    size_t cores = 0;
-    uint64_t snapshots = 0;
-    uint64_t avg_snapshot_bytes = 0;
-  };
-  std::vector<SizeRow> size_rows;
+  std::vector<bench::JsonObject> size_json;
   std::printf("\n# recovery — snapshot size vs fleet size (%d days, multiplier %.0f, "
               "audit+trace, snapshot_every=1)\n",
               ladder_days, multiplier);
@@ -231,16 +217,14 @@ int main(int argc, char** argv) {
     options.durability.snapshot_every = 1;
     RunResult run = RunOnce(options);
     const JournalStats& stats = run.study->durability()->stats();
-    SizeRow row;
-    row.machines = ladder_machines * mult;
-    row.cores = run.report.cores;
-    row.snapshots = stats.snapshots_written;
-    row.avg_snapshot_bytes =
+    const uint64_t avg_snapshot_bytes =
         stats.snapshots_written > 0 ? stats.bytes_written / stats.snapshots_written : 0;
-    size_rows.push_back(row);
-    std::printf("%-12zu %12zu %12llu %18llu\n", row.machines, row.cores,
-                static_cast<unsigned long long>(row.snapshots),
-                static_cast<unsigned long long>(row.avg_snapshot_bytes));
+    std::printf("%-12zu %12zu %12llu %18llu\n", ladder_machines * mult, run.report.cores,
+                static_cast<unsigned long long>(stats.snapshots_written),
+                static_cast<unsigned long long>(avg_snapshot_bytes));
+    size_json.push_back(bench::JsonObject()
+                            .Int("machines", ladder_machines * mult).Int("cores", run.report.cores)
+                            .Int("avg_snapshot_bytes", avg_snapshot_bytes));
   }
 
   // --- recovery --------------------------------------------------------------------------------
@@ -248,14 +232,7 @@ int main(int argc, char** argv) {
   // per cadence. The journal is clean (no crash damage), so each call restores the last
   // snapshot, replays the whole tail, and must come back exact; the tail length is set by the
   // cadence the study ran with, up to the full study for the snapshot_every=0 run.
-  struct RecoveryRow {
-    uint64_t snapshot_every = 0;
-    uint64_t tail_frames = 0;
-    uint64_t frames_replayed = 0;
-    size_t journal_bytes = 0;
-    double recover_ms = 0.0;
-  };
-  std::vector<RecoveryRow> recovery_rows;
+  std::vector<bench::JsonObject> recovery_json;
   bool recoveries_ok = true;
   std::printf("\n# recovery — Recover() wall time vs journal tail (big fleet, median of 5)\n");
   std::printf("%-14s %12s %12s %14s %12s\n", "snapshot_every", "tail_ticks", "replayed",
@@ -266,16 +243,14 @@ int main(int argc, char** argv) {
     durable.durability.snapshot_every = cadences[c];
     RunResult run = RunOnce(durable);
     DurabilityManager* manager = run.study->durability();
-    RecoveryRow row;
-    row.snapshot_every = cadences[c];
-    row.tail_frames = manager->tick_frames_since_snapshot();
-    row.journal_bytes = manager->size();
+    const uint64_t tail_frames = manager->tick_frames_since_snapshot();
+    const size_t journal_bytes = manager->size();
+    uint64_t frames_replayed = 0;
     std::vector<double> samples;
     for (int r = 0; r < 5; ++r) {
-      const auto start = std::chrono::steady_clock::now();
-      StatusOr<DurabilityManager::RecoveryResult> recovered = manager->Recover();
-      const auto stop = std::chrono::steady_clock::now();
-      if (!recovered.ok() || !recovered->exact || recovered->frames_replayed != row.tail_frames) {
+      StatusOr<DurabilityManager::RecoveryResult> recovered = InternalError("not run");
+      const double seconds = bench::TimeSeconds([&] { recovered = manager->Recover(); });
+      if (!recovered.ok() || !recovered->exact || recovered->frames_replayed != tail_frames) {
         std::fprintf(stderr, "recovery failed at cadence %llu: %s\n",
                      static_cast<unsigned long long>(cadences[c]),
                      recovered.ok() ? "inexact or short replay"
@@ -283,72 +258,33 @@ int main(int argc, char** argv) {
         recoveries_ok = false;
         break;
       }
-      samples.push_back(std::chrono::duration<double>(stop - start).count());
-      row.frames_replayed = recovered->frames_replayed;
+      samples.push_back(seconds);
+      frames_replayed = recovered->frames_replayed;
     }
-    if (!samples.empty()) {
-      row.recover_ms = MedianSeconds(samples) * 1000.0;
-    }
-    recovery_rows.push_back(row);
+    const double recover_ms = samples.empty() ? 0.0 : bench::Median(samples) * 1000.0;
     std::printf("%-14llu %12llu %12llu %14zu %12.3f\n",
-                static_cast<unsigned long long>(row.snapshot_every),
-                static_cast<unsigned long long>(row.tail_frames),
-                static_cast<unsigned long long>(row.frames_replayed), row.journal_bytes,
-                row.recover_ms);
+                static_cast<unsigned long long>(cadences[c]),
+                static_cast<unsigned long long>(tail_frames),
+                static_cast<unsigned long long>(frames_replayed), journal_bytes, recover_ms);
+    recovery_json.push_back(bench::JsonObject()
+                                .Int("snapshot_every", cadences[c]).Int("tail_ticks", tail_frames)
+                                .Int("journal_bytes", journal_bytes).Num("recover_ms", recover_ms));
   }
-
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"recovery\",\n");
-    std::fprintf(f, "  \"repeats\": %d,\n", repeats);
-    std::fprintf(f, "  \"big_machines\": %zu,\n", big_machines);
-    std::fprintf(f, "  \"big_cores\": %zu,\n", cores);
-    std::fprintf(f, "  \"big_days\": %d,\n", big_days);
-    std::fprintf(f, "  \"multiplier\": %.2f,\n", multiplier);
-    std::fprintf(f, "  \"append_overhead\": {\n");
-    std::fprintf(f, "    \"baseline_wall_seconds\": %.6f,\n", base_s);
-    std::fprintf(f, "    \"cadences\": [");
-    for (size_t c = 0; c < cadences.size(); ++c) {
-      std::fprintf(f,
-                   "%s{\"snapshot_every\": %llu, \"journal_pct\": %.4f, "
-                   "\"wall_delta_pct\": %.4f, \"journal_us_per_tick\": %.2f, \"bytes\": %llu}",
-                   c == 0 ? "" : ", ", static_cast<unsigned long long>(cadences[c]),
-                   journal_pcts[c], delta_pcts[c], journal_us_per_tick[c],
-                   static_cast<unsigned long long>(durable_stats[c].bytes_written));
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "    \"gated_overhead_pct\": %.4f,\n", gated_overhead_pct);
-    std::fprintf(f, "    \"budget_pct\": %.4f,\n", max_overhead_pct);
-    std::fprintf(f, "    \"within_budget\": %s,\n", overhead_ok ? "true" : "false");
-    std::fprintf(f, "    \"reports_bit_identical\": %s\n", reports_match ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"snapshot_size\": [");
-    for (size_t i = 0; i < size_rows.size(); ++i) {
-      std::fprintf(f,
-                   "%s{\"machines\": %zu, \"cores\": %zu, \"avg_snapshot_bytes\": %llu}",
-                   i == 0 ? "" : ", ", size_rows[i].machines, size_rows[i].cores,
-                   static_cast<unsigned long long>(size_rows[i].avg_snapshot_bytes));
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "  \"recovery\": [");
-    for (size_t i = 0; i < recovery_rows.size(); ++i) {
-      std::fprintf(f,
-                   "%s{\"snapshot_every\": %llu, \"tail_ticks\": %llu, \"journal_bytes\": %zu, "
-                   "\"recover_ms\": %.4f}",
-                   i == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(recovery_rows[i].snapshot_every),
-                   static_cast<unsigned long long>(recovery_rows[i].tail_frames),
-                   recovery_rows[i].journal_bytes, recovery_rows[i].recover_ms);
-    }
-    std::fprintf(f, "]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_path.c_str());
+  const bench::JsonObject record =
+      bench::Record("recovery")
+          .Int("repeats", repeats).Int("big_machines", big_machines).Int("big_cores", cores)
+          .Int("big_days", big_days).Num("multiplier", multiplier)
+          .Obj("append_overhead", bench::JsonObject()
+                                      .Num("baseline_wall_seconds", base_s)
+                                      .Rows("cadences", cadence_json)
+                                      .Num("gated_overhead_pct", gated_overhead_pct)
+                                      .Num("budget_pct", max_overhead_pct)
+                                      .Bool("within_budget", overhead_ok)
+                                      .Bool("reports_bit_identical", reports_match))
+          .Rows("snapshot_size", size_json)
+          .Rows("recovery", recovery_json);
+  if (!bench::WriteRecord(flags.GetString("json"), record)) {
+    return 1;
   }
 
   if (!reports_match) {

@@ -14,11 +14,12 @@
 //
 // Output: a human table plus BENCH_screening.json (see README, "Screening benchmark").
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 
+#include "bench/harness.h"
 #include "src/common/flags.h"
 #include "src/core/fleet_study.h"
 
@@ -64,13 +65,13 @@ StudyOptions BaseOptions(const FlagSet& flags) {
 }
 
 RunResult RunOnce(StudyOptions options) {
-  const auto start = std::chrono::steady_clock::now();
-  FleetStudy study(options);
-  const StudyReport report = study.Run();
+  std::optional<FleetStudy> study;
+  StudyReport report;
   RunResult result;
-  result.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+  result.wall_ms = 1000.0 * bench::TimeSeconds([&] {
+    study.emplace(options);
+    report = study->Run();
+  });
   // Mean TTD over caught cores alone is selection-biased: a better allocator that also
   // catches the slow, hard cores gets *punished* for it. Censor instead: every undetected
   // mercurial core contributes the full study length (a lower bound on its real latency),
@@ -94,9 +95,9 @@ RunResult RunOnce(StudyOptions options) {
   result.screen_failures = report.screen_failures;
   result.drains = report.scheduler.drains;
   result.migration_core_hours = report.scheduler.migration_cost_core_seconds / 3600.0;
-  result.risk_admitted = study.metrics().counter("screening.risk_admitted");
-  result.risk_deferred = study.metrics().counter("screening.risk_deferred");
-  result.hot_screens = study.metrics().counter("screening.risk_hot_screens");
+  result.risk_admitted = study->metrics().counter("screening.risk_admitted");
+  result.risk_deferred = study->metrics().counter("screening.risk_deferred");
+  result.hot_screens = study->metrics().counter("screening.risk_hot_screens");
   return result;
 }
 
@@ -108,23 +109,15 @@ void PrintRow(const char* label, const RunResult& r) {
               static_cast<unsigned long long>(r.drains), r.migration_core_hours, r.wall_ms);
 }
 
-void JsonRun(FILE* f, const char* label, const RunResult& r) {
-  std::fprintf(f,
-               "    \"%s\": {\"mean_ttd_days\": %.4f, \"mean_caught_ttd_days\": %.4f, "
-               "\"p50_ttd_days\": %.4f, "
-               "\"caught\": %llu, \"planted\": %llu, \"caught_fraction\": %.4f, "
-               "\"screening_ops\": %llu, \"screen_failures\": %llu, \"drains\": %llu, "
-               "\"migration_core_hours\": %.2f, \"risk_admitted\": %llu, "
-               "\"risk_deferred\": %llu, \"risk_hot_screens\": %llu}",
-               label, r.mean_ttd_days, r.mean_caught_ttd_days, r.p50_ttd_days,
-               static_cast<unsigned long long>(r.caught),
-               static_cast<unsigned long long>(r.planted), r.caught_fraction,
-               static_cast<unsigned long long>(r.screening_ops),
-               static_cast<unsigned long long>(r.screen_failures),
-               static_cast<unsigned long long>(r.drains), r.migration_core_hours,
-               static_cast<unsigned long long>(r.risk_admitted),
-               static_cast<unsigned long long>(r.risk_deferred),
-               static_cast<unsigned long long>(r.hot_screens));
+bench::JsonObject RunJson(const RunResult& r) {
+  return bench::JsonObject()
+      .Num("mean_ttd_days", r.mean_ttd_days).Num("mean_caught_ttd_days", r.mean_caught_ttd_days)
+      .Num("p50_ttd_days", r.p50_ttd_days)
+      .Int("caught", r.caught).Int("planted", r.planted).Num("caught_fraction", r.caught_fraction)
+      .Int("screening_ops", r.screening_ops).Int("screen_failures", r.screen_failures)
+      .Int("drains", r.drains).Num("migration_core_hours", r.migration_core_hours)
+      .Int("risk_admitted", r.risk_admitted).Int("risk_deferred", r.risk_deferred)
+      .Int("risk_hot_screens", r.hot_screens);
 }
 
 }  // namespace
@@ -143,8 +136,7 @@ int main(int argc, char** argv) {
   flags.DefineDouble("risk-min-period-days", 10.0, "adaptive cadence floor");
   flags.DefineDouble("risk-max-period-days", 60.0, "adaptive cadence ceiling");
   flags.DefineString("json", "BENCH_screening.json", "JSON artifact path ('' = skip)");
-  if (Status status = flags.Parse(argc, argv, 1); !status.ok()) {
-    std::fprintf(stderr, "%s\nflags:\n%s", status.ToString().c_str(), flags.Usage().c_str());
+  if (!flags.ParseOrUsage(argc, argv)) {
     return 1;
   }
 
@@ -198,34 +190,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fixed.caught),
               caught_ok ? "no worse" : "fewer (not gated)");
 
-  const std::string json_path = flags.GetString("json");
-  if (!json_path.empty()) {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"benchmark\": \"screening_adaptive_vs_fixed\",\n");
-    std::fprintf(f, "  \"machines\": %lld,\n",
-                 static_cast<long long>(flags.GetInt("machines")));
-    std::fprintf(f, "  \"days\": %lld,\n", static_cast<long long>(days));
-    std::fprintf(f, "  \"seed\": %lld,\n", static_cast<long long>(flags.GetInt("seed")));
-    std::fprintf(f, "  \"fixed_period_days\": %lld,\n",
-                 static_cast<long long>(flags.GetInt("fixed-period-days")));
-    std::fprintf(f, "  \"budget_ops_per_day\": %llu,\n",
-                 static_cast<unsigned long long>(budget_per_day));
-    std::fprintf(f, "  \"runs\": {\n");
-    JsonRun(f, "fixed", fixed);
-    std::fprintf(f, ",\n");
-    JsonRun(f, "adaptive", adaptive);
-    std::fprintf(f, "\n  },\n");
-    std::fprintf(f, "  \"gates\": {\"ttd_ok\": %s, \"ops_ok\": %s, \"caught_ok\": %s}\n",
-                 ttd_ok ? "true" : "false", ops_ok ? "true" : "false",
-                 caught_ok ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
+  const bench::JsonObject record =
+      bench::Record("screening_adaptive_vs_fixed")
+          .Int("machines", flags.GetInt("machines")).Int("days", days)
+          .Int("seed", flags.GetInt("seed"))
+          .Int("fixed_period_days", flags.GetInt("fixed-period-days"))
+          .Int("budget_ops_per_day", budget_per_day)
+          .Obj("runs", bench::JsonObject()
+                           .Obj("fixed", RunJson(fixed))
+                           .Obj("adaptive", RunJson(adaptive)))
+          .Obj("gates", bench::JsonObject()
+                            .Bool("ttd_ok", ttd_ok).Bool("ops_ok", ops_ok)
+                            .Bool("caught_ok", caught_ok));
+  if (!bench::WriteRecord(flags.GetString("json"), record, "\nwrote ")) {
+    return 1;
   }
 
   if (!ttd_ok || !ops_ok) {
