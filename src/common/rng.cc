@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/common/logging.h"
 
@@ -80,20 +79,6 @@ uint64_t Rng::Poisson(double mean) {
     product *= NextDouble();
   }
   return count;
-}
-
-void Rng::FillBytes(void* out, size_t n) {
-  auto* bytes = static_cast<unsigned char*>(out);
-  while (n >= 8) {
-    const uint64_t word = NextU64();
-    std::memcpy(bytes, &word, 8);
-    bytes += 8;
-    n -= 8;
-  }
-  if (n > 0) {
-    const uint64_t word = NextU64();
-    std::memcpy(bytes, &word, n);
-  }
 }
 
 void Rng::SaveState(uint64_t out[kStateWords]) const {

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -78,7 +79,8 @@ class Rng {
   uint64_t identity_;
 };
 
-// The per-draw paths are inline: simulated workloads and the defect gate draw once per op.
+// The per-draw paths are inline: simulated workloads and the defect gate draw once per op, and
+// a stress-battery iteration that skips its op costs little more than its draws.
 
 inline uint64_t Rng::NextU64() {
   const uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
@@ -120,6 +122,20 @@ inline bool Rng::Bernoulli(double p) {
     return true;
   }
   return NextDouble() < p;
+}
+
+inline void Rng::FillBytes(void* out, size_t n) {
+  auto* bytes = static_cast<unsigned char*>(out);
+  while (n >= 8) {
+    const uint64_t word = NextU64();
+    std::memcpy(bytes, &word, 8);
+    bytes += 8;
+    n -= 8;
+  }
+  if (n > 0) {
+    const uint64_t word = NextU64();
+    std::memcpy(bytes, &word, n);
+  }
 }
 
 // Retry backoff: attempt k >= 1 waits base * 2^(k-1), the shift capped at 20, then jittered
