@@ -25,6 +25,7 @@ struct UnitStressResult {
   bool machine_check = false;
 
   bool passed() const { return mismatches == 0 && !machine_check; }
+  bool operator==(const UnitStressResult&) const = default;
 };
 
 struct StressReport {
@@ -51,7 +52,12 @@ struct StressOptions {
 // (low voltage, the droop corner).
 std::vector<OperatingPoint> StandardScreeningSweep();
 
-// Stresses a single unit at the core's current operating point.
+// Stresses a single unit at the core's current operating point. Where core.CanSkipOps(unit)
+// holds (fast path on, no defect on the unit armed at this point) every op would match its
+// golden result, so none is executed: each iteration makes its draws from `rng` alone, the
+// ops are counted on the core in one step, and a machine check left pending is taken once.
+// The result, the core's counters and both streams end as executing every op leaves them;
+// with the fast path off every op executes, which is what the equivalence tests compare.
 UnitStressResult StressUnit(SimCore& core, Rng& rng, ExecUnit unit, uint64_t iterations);
 
 // Full battery over all units (and the f/V/T sweep if given).

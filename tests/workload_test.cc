@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -503,6 +504,131 @@ TEST(StressTest, SweepSplitsIterationBudget) {
   const StressReport swept = RunStressBattery(core, rng, three_points);
   EXPECT_EQ(single.per_unit[0].iterations, swept.per_unit[0].iterations)
       << "sweeping must not triple the iteration cost";
+}
+
+// --- Skipped units match executed units -----------------------------------------------------
+//
+// A core with the fast path on skips every (unit, sweep point) where no defect on the unit is
+// armed; its twin with the fast path off executes every op. The twins must agree op for op:
+// same results, same counters, the battery's stream at the same point, and the core's own
+// stream untouched by the skip.
+
+struct SkipCase {
+  const char* name;
+  std::vector<DefectSpec> defects;
+  bool skips;  // whether the unit under test is skipped at every sweep point
+};
+
+std::vector<SkipCase> SkipCases(ExecUnit unit) {
+  DefectSpec armed = AlwaysFire(unit, DefectEffect::kBitFlip, 0.05);
+  armed.machine_check_fraction = 0.3;
+  if (unit == ExecUnit::kAtomic) {
+    armed.effect = DefectEffect::kCasPhantomStore;
+  }
+  DefectSpec latent = armed;
+  latent.aging.onset = SimTime::Days(400);  // the twins are 100 days old
+  DefectSpec no_opcode = AlwaysFire(unit, DefectEffect::kBitFlip);
+  no_opcode.opcode_mask = 0;
+  DefectSpec unsatisfiable = AlwaysFire(unit, DefectEffect::kBitFlip);
+  unsatisfiable.trigger = {0xff, 0x100};  // value has a bit outside the mask
+  DefectSpec rcon = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt, 0.3);
+  rcon.opcode_mask = 1ull << kAesOpRcon;
+  const DefectSpec drop_store = AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasDropStore, 0.3);
+  return {
+      {"no defect", {}, true},
+      {"armed defect", {armed}, false},
+      {"pre-onset latent defect", {latent}, true},
+      {"opcode mask 0", {no_opcode}, true},
+      {"unsatisfiable trigger", {unsatisfiable}, true},
+      {"rcon-only defect on aes", {rcon}, unit != ExecUnit::kAes},
+      {"cas drop-store defect on atomic", {drop_store}, unit != ExecUnit::kAtomic},
+  };
+}
+
+class SkippedUnitTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SkippedUnitTest, MatchesExecutedUnitOpForOp) {
+  const auto unit = static_cast<ExecUnit>(GetParam());
+  // An armed defect on another unit: a burst of its ops after the battery shows whether the
+  // core's own stream moved.
+  const ExecUnit witness = unit == ExecUnit::kIntMul ? ExecUnit::kIntAlu : ExecUnit::kIntMul;
+  DefectSpec witness_defect = AlwaysFire(witness, DefectEffect::kBitFlip, 0.3);
+  witness_defect.machine_check_fraction = 0.2;
+  uint64_t fired = 0;
+  for (const SkipCase& c : SkipCases(unit)) {
+    SCOPED_TRACE(std::string(ExecUnitName(unit)) + ", " + c.name);
+    SimCore skip(7, Rng(77));
+    SimCore execute(7, Rng(77));
+    execute.set_fast_path(false);
+    for (SimCore* core : {&skip, &execute}) {
+      core->set_age(SimTime::Days(100));
+      for (const DefectSpec& spec : c.defects) {
+        core->AddDefect(spec);
+      }
+      core->AddDefect(witness_defect);
+      core->Div(1, 0);  // a machine check left pending before the battery
+    }
+    Rng skip_rng(99);
+    Rng execute_rng(99);
+    bool first_point = true;
+    for (const OperatingPoint& point : StandardScreeningSweep()) {
+      skip.set_operating_point(point);
+      execute.set_operating_point(point);
+      ASSERT_EQ(skip.CanSkipOps(unit), c.skips);
+      ASSERT_FALSE(execute.CanSkipOps(unit));
+      const UnitStressResult skipped = StressUnit(skip, skip_rng, unit, 200);
+      const UnitStressResult executed = StressUnit(execute, execute_rng, unit, 200);
+      ASSERT_EQ(skipped, executed);
+      ASSERT_EQ(skip.counters(), execute.counters());
+      ASSERT_EQ(skip_rng.NextU64(), execute_rng.NextU64());
+      if (first_point) {
+        EXPECT_TRUE(skipped.machine_check) << "the pending machine check lands on point 0";
+        first_point = false;
+      }
+    }
+    for (int i = 0; i < 500; ++i) {
+      const uint64_t a = skip_rng.NextU64();
+      const uint64_t b = skip_rng.NextU64();
+      ASSERT_EQ(skip.Alu(AluOp::kXor, a, b), execute.Alu(AluOp::kXor, a, b));
+      ASSERT_EQ(skip.Mul(a, b), execute.Mul(a, b));
+      ASSERT_EQ(skip.TakePendingMachineCheck(), execute.TakePendingMachineCheck());
+    }
+    ASSERT_EQ(skip.counters(), execute.counters());
+    fired += skip.counters().corruptions + skip.counters().machine_checks;
+  }
+  EXPECT_GT(fired, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllUnits, SkippedUnitTest, ::testing::Range(0, kExecUnitCount));
+
+TEST(StressTest, SkippedBatteryMatchesExecutedBattery) {
+  // A full swept battery on a core whose only defects are behavioural (rcon and CAS): nine
+  // units are skipped at every point. A machine check pending before the battery must land
+  // on the same unit, the first one, on both twins.
+  SimCore skip(3, Rng(33));
+  SimCore execute(3, Rng(33));
+  execute.set_fast_path(false);
+  DefectSpec rcon = AlwaysFire(ExecUnit::kAes, DefectEffect::kRconCorrupt, 0.2);
+  rcon.opcode_mask = 1ull << kAesOpRcon;
+  for (SimCore* core : {&skip, &execute}) {
+    core->AddDefect(rcon);
+    core->AddDefect(AlwaysFire(ExecUnit::kAtomic, DefectEffect::kCasDropStore, 0.1));
+    core->Div(1, 0);
+  }
+  StressOptions options;
+  options.iterations_per_unit = 300;
+  options.sweep = StandardScreeningSweep();
+  Rng skip_rng(5);
+  Rng execute_rng(5);
+  const StressReport skipped = RunStressBattery(skip, skip_rng, options);
+  const StressReport executed = RunStressBattery(execute, execute_rng, options);
+  EXPECT_EQ(skipped.per_unit, executed.per_unit);
+  EXPECT_EQ(skipped.total_ops, executed.total_ops);
+  EXPECT_EQ(skip.counters(), execute.counters());
+  EXPECT_EQ(skip_rng.NextU64(), execute_rng.NextU64());
+  EXPECT_TRUE(skipped.per_unit[0].machine_check);
+  EXPECT_EQ(skipped.FailedUnits(),
+            (std::vector<ExecUnit>{ExecUnit::kIntAlu, ExecUnit::kAes, ExecUnit::kAtomic}));
 }
 
 }  // namespace
