@@ -9,8 +9,13 @@
 //   * dispatch    — raw micro-ops/sec through SimCore::Dispatch on a multi-defect core, fast
 //     path vs the reference path, with a counters cross-check (corruptions, machine checks,
 //     per-unit ops must match exactly — the cache must be RNG-stream neutral).
+//   * battery     — ns per StressUnit iteration for each unit on the same core. The fast path
+//     skips the units with no armed defect (all but ALU and MUL here) and only makes their
+//     draws; the reference path executes every op. Results, counters and the battery stream's
+//     next draw must match exactly.
 //   * end_to_end  — work-units/sec of a whole FleetStudy (production + screening +
-//     quarantine), fast path vs reference, single-threaded so the ratio isolates the cache.
+//     quarantine), fast path vs reference, single-threaded so the ratio isolates the fast
+//     path: the armed cache and the battery skip.
 //   * tracing     — upper bound on the incident flight recorder's cost when disabled, measured
 //     as study wall time with tracing off vs an enabled-but-fully-sampled-out shadow recorder;
 //     --max-trace-overhead-pct turns the bound into a CI gate.
@@ -20,8 +25,8 @@
 //   bench_hotpath --ops=2000000 --machines=300 --days=150 --json=BENCH_hotpath.json
 //
 // Output: human-readable table on stdout plus a JSON artifact. Exit code 2 if the fast and
-// reference paths diverge in any counter (a stream-neutrality bug), 3 if the tracing overhead
-// bound exceeds --max-trace-overhead-pct, 0 otherwise.
+// reference paths diverge in any counter, battery result or study report (a stream-neutrality
+// bug), 3 if the tracing overhead bound exceeds --max-trace-overhead-pct, 0 otherwise.
 
 #include <algorithm>
 #include <cstdio>
@@ -33,6 +38,7 @@
 #include "src/common/rng.h"
 #include "src/core/fleet_study.h"
 #include "src/sim/core.h"
+#include "src/workload/stress.h"
 
 using namespace mercurial;
 
@@ -132,6 +138,29 @@ DispatchResult RunDispatch(uint64_t ops, uint64_t seed, bool fast_path) {
   return result;
 }
 
+struct BatteryResult {
+  double seconds = 0.0;
+  UnitStressResult result;
+  CoreCounters counters;
+  uint64_t next_draw = 0;  // the battery stream's next draw after the run
+
+  bool operator==(const BatteryResult& other) const {
+    return result == other.result && counters == other.counters &&
+           next_draw == other.next_draw;
+  }
+};
+
+BatteryResult RunBattery(ExecUnit unit, uint64_t iterations, uint64_t seed, bool fast_path) {
+  SimCore core = BuildDefectiveCore(seed);
+  core.set_fast_path(fast_path);
+  Rng rng(seed ^ 0x62617474657279ull);
+  BatteryResult out;
+  out.seconds = bench::TimeSeconds([&] { out.result = StressUnit(core, rng, unit, iterations); });
+  out.counters = core.counters();
+  out.next_draw = rng.NextU64();
+  return out;
+}
+
 struct StudyResult {
   double seconds = 0.0;
   StudyReport report;
@@ -208,6 +237,46 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fast.machine_checks),
               counters_match ? "yes" : "NO — BUG");
 
+  // --- battery -------------------------------------------------------------------------------
+  const uint64_t battery_iterations = std::max<uint64_t>(1, ops / kExecUnitCount);
+  bool battery_match = true;
+  double battery_ref_ns = 0.0;
+  double battery_fast_ns = 0.0;
+  std::vector<bench::JsonObject> battery_rows;
+  std::printf("# hotpath — battery: %llu StressUnit iterations per unit on the same core, "
+              "median of %d\n",
+              static_cast<unsigned long long>(battery_iterations), repeats);
+  std::printf("%-24s %9s %14s %14s %10s\n", "unit", "skipped", "ref_ns/iter", "fast_ns/iter",
+              "speedup");
+  for (int u = 0; u < kExecUnitCount; ++u) {
+    const auto unit = static_cast<ExecUnit>(u);
+    std::vector<double> unit_ref_times;
+    std::vector<double> unit_fast_times;
+    for (int r = 0; r < repeats; ++r) {
+      const BatteryResult unit_ref = RunBattery(unit, battery_iterations, seed, false);
+      const BatteryResult unit_fast = RunBattery(unit, battery_iterations, seed, true);
+      battery_match = battery_match && unit_ref == unit_fast;
+      unit_ref_times.push_back(unit_ref.seconds);
+      unit_fast_times.push_back(unit_fast.seconds);
+    }
+    const double ref_ns = bench::Median(unit_ref_times) * 1e9 / battery_iterations;
+    const double fast_ns = bench::Median(unit_fast_times) * 1e9 / battery_iterations;
+    const bool skipped = BuildDefectiveCore(seed).CanSkipOps(unit);
+    battery_ref_ns += ref_ns;
+    battery_fast_ns += fast_ns;
+    std::printf("%-24s %9s %14.1f %14.1f %9.2fx\n", ExecUnitName(unit), skipped ? "yes" : "no",
+                ref_ns, fast_ns, ref_ns / fast_ns);
+    battery_rows.push_back(bench::JsonObject()
+                               .Str("unit", ExecUnitName(unit)).Bool("skipped", skipped)
+                               .Num("reference_ns_per_iteration", ref_ns)
+                               .Num("fast_ns_per_iteration", fast_ns)
+                               .Num("speedup", ref_ns / fast_ns));
+  }
+  std::printf("%-24s %9s %14.1f %14.1f %9.2fx\n", "all units", "", battery_ref_ns,
+              battery_fast_ns, battery_ref_ns / battery_fast_ns);
+  std::printf("# results, counters and next draw bit-identical: %s\n",
+              battery_match ? "yes" : "NO — BUG");
+
   // --- end_to_end ----------------------------------------------------------------------------
   std::vector<double> study_ref_times;
   std::vector<double> study_fast_times;
@@ -283,6 +352,14 @@ int main(int argc, char** argv) {
                    .Num("reference_ops_per_sec", ref_ops_per_sec)
                    .Num("fast_ops_per_sec", fast_ops_per_sec).Num("speedup", ref_s / fast_s)
                    .Bool("counters_bit_identical", counters_match))
+          .Obj("battery",
+               bench::JsonObject()
+                   .Int("iterations_per_unit", battery_iterations)
+                   .Rows("units", battery_rows)
+                   .Num("all_units_reference_ns_per_iteration", battery_ref_ns)
+                   .Num("all_units_fast_ns_per_iteration", battery_fast_ns)
+                   .Num("all_units_speedup", battery_ref_ns / battery_fast_ns)
+                   .Bool("outputs_bit_identical", battery_match))
           .Obj("end_to_end",
                bench::JsonObject()
                    .Int("machines", machines).Int("days", days)
@@ -302,7 +379,7 @@ int main(int argc, char** argv) {
   if (!bench::WriteRecord(flags.GetString("json"), record)) {
     return 1;
   }
-  if (!(counters_match && study_match)) {
+  if (!(counters_match && battery_match && study_match)) {
     return 2;
   }
   return trace_overhead_ok ? 0 : 3;
