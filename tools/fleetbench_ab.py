@@ -11,12 +11,15 @@ alternating which side goes first, and reads each run's JSON record from the bin
 
 For each end-to-end metric of BENCHMARK.json it prints, per side, the median and quartiles
 over the N runs (each run's own value is the median run.py reports), how many pairs the
-working tree wins (ties count for neither), and whether the medians differ by more than the
-base's quartile spread. It also prints, per study seed, whether the two sides' report digests
-are equal, and each side's failed/attempted study counts.
+working tree wins (ties count for neither), whether the medians differ by more than the
+base's quartile spread, and whether the gain rule holds: the working tree wins at least 9 of
+every 10 pairs and its median is better by more than that spread. It also prints, per study
+seed, whether the two sides' report digests are equal, and each side's failed/attempted
+study counts.
 
-Exits 1 if any run fails (non-zero exit, no JSON record, or a failed study), else 0. Uses the
-standard library only and writes nothing under fleetbench/. With --work-dir the export and
+Exits 1 if any run fails (non-zero exit, no JSON record, or a failed study), else 2 if the
+report digests of any study seed differ, else 0. Uses the standard library only and writes
+nothing under fleetbench/. With --work-dir the export and
 both build trees are kept there and reused by the next call; otherwise they go to a temporary
 directory removed on exit.
 """
@@ -102,6 +105,24 @@ def end_to_end_metrics():
         return [(m["name"], m["unit"], m["better"]) for m in json.load(f)["end_to_end"]]
 
 
+def judge(base, head, better):
+    """One metric's verdict over paired runs: base[i] and head[i] ran as pair i.
+
+    Returns (wins, losses, gap, spread, gain): the working tree's wins and losses (ties count
+    for neither), the gap between the medians signed so that positive means the working tree
+    is better, the base's quartile spread, and whether the gain rule holds (at least 9 wins in
+    every 10 pairs and a gap larger than the spread).
+    """
+    qb = fleetbench_run.quartiles(base)
+    qh = fleetbench_run.quartiles(head)
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
+    losses = sum(1 for b, h in zip(base, head) if sign * (h - b) < 0)
+    gap = sign * (qh[1] - qb[1])
+    spread = qb[2] - qb[0]
+    return wins, losses, gap, spread, 10 * wins >= 9 * len(base) and gap > spread
+
+
 def compare(samples, metrics, pairs):
     """Prints the per-metric comparison of one workload's pairs."""
     print("%-16s %-5s %12s %12s %12s   %s" % ("metric", "side", "q1", "median", "q3", "unit"))
@@ -114,11 +135,7 @@ def compare(samples, metrics, pairs):
         print("%-16s %-5s %12.6g %12.6g %12.6g" % ("", "head", qh[0], qh[1], qh[2]))
         for side, values in (("base", base), ("head", head)):
             print("%-16s %s runs: %s" % ("", side, " ".join("%.4g" % v for v in values)))
-        sign = 1.0 if better == "higher" else -1.0
-        wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
-        losses = sum(1 for b, h in zip(base, head) if sign * (h - b) < 0)
-        gap = sign * (qh[1] - qb[1])
-        spread = qb[2] - qb[0]
+        wins, losses, gap, spread, gain = judge(base, head, better)
         if gap > spread:
             verdict = "head better by more than the base's quartile spread"
         elif -gap > spread:
@@ -128,6 +145,22 @@ def compare(samples, metrics, pairs):
         ratio = ("%.3fx" % (qh[1] / qb[1])) if qb[1] else "n/a"
         print("%-16s head wins %d of %d pairs (%d losses); median ratio %s; %s (%+.6g vs %.6g)"
               % ("", wins, pairs, losses, ratio, verdict, gap, spread))
+        print("%-16s gain rule (9 of 10 pairs won, gap over the spread): %s"
+              % ("", "holds" if gain else "does not hold"))
+
+
+def compare_digests(digests):
+    """Prints digest equality per study seed; returns True if every seed's digests are equal."""
+    all_equal = True
+    for study_seed in sorted(set(digests["base"]) | set(digests["head"])):
+        b = digests["base"].get(study_seed, set())
+        h = digests["head"].get(study_seed, set())
+        same = len(b) == 1 and b == h
+        all_equal = all_equal and same
+        print("digest study seed %d: %s  base %s  head %s" % (
+            study_seed, "equal" if same else "DIFFERENT", ",".join(sorted(b)),
+            ",".join(sorted(h))))
+    return all_equal
 
 
 def main(argv):
@@ -159,6 +192,7 @@ def main(argv):
         }
         metrics = end_to_end_metrics()
         any_failed = False
+        any_different = False
         for workload in workloads:
             samples = {side: {name: [] for name, _, _ in metrics} for side in binaries}
             digests = {side: {} for side in binaries}
@@ -180,17 +214,11 @@ def main(argv):
             print("== %s, seed %d, %g s, %d pairs: base %s vs the working tree"
                   % (workload, args.seed, args.seconds, args.pairs, sha[:12]))
             compare(samples, metrics, args.pairs)
-            for study_seed in sorted(set(digests["base"]) | set(digests["head"])):
-                b = digests["base"].get(study_seed, set())
-                h = digests["head"].get(study_seed, set())
-                same = len(b) == 1 and b == h
-                print("digest study seed %d: %s  base %s  head %s" % (
-                    study_seed, "equal" if same else "DIFFERENT",
-                    ",".join(sorted(b)), ",".join(sorted(h))))
+            any_different = not compare_digests(digests) or any_different
             for side in binaries:
                 print("%s: %d failed of %d studies attempted" % (
                     side, counts[side][1], counts[side][0]))
-        return 1 if any_failed else 0
+        return 1 if any_failed else 2 if any_different else 0
     finally:
         if not args.work_dir:
             shutil.rmtree(work, ignore_errors=True)
