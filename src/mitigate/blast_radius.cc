@@ -7,6 +7,13 @@
 
 namespace mercurial {
 
+namespace {
+
+// One epoch on the wire: u64 epoch, then u64 produced and u64 corrupt per artifact kind.
+constexpr size_t kEpochWireBytes = 8 + kArtifactKindCount * 2 * 8;
+
+}  // namespace
+
 ArtifactKind ArtifactKindForWorkload(WorkloadKind kind) {
   switch (kind) {
     case WorkloadKind::kMemcpy:
@@ -188,7 +195,7 @@ void BlastRadiusLedger::Wire(S& s, Io& io) {
   io.Map(s.cores_, [&](auto& core) {
     io.Bool(core.has_signal);
     io.Time(core.first_signal);
-    io.Seq(core.epochs, [&](auto& epoch) {
+    io.Seq(core.epochs, kEpochWireBytes, [&](auto& epoch) {
       io.U64(epoch.epoch);
       for (auto& counts : epoch.counts) {
         io.U64(counts.produced, counts.corrupt);
@@ -248,10 +255,12 @@ void BlastRadiusLedger::SaveDurableState(ByteWriter& w) const {
 }
 
 Status BlastRadiusLedger::LoadDurableState(ByteReader& r) {
-  return WireLoad(r, *this, [](BlastRadiusLedger& ledger, WireIn& in) {
-    Wire(ledger, in);
-    ledger.tick_ops_.clear();
-  });
+  // The field list replaces the totals and every core's history, so it decodes into an empty
+  // ledger (no pending ops) that keeps only the mutation-log switch, rather than into a copy.
+  BlastRadiusLedger empty;
+  empty.log_ops_ = log_ops_;
+  return WireLoad(r, *this, std::move(empty),
+                  [](BlastRadiusLedger& ledger, WireIn& in) { Wire(ledger, in); });
 }
 
 }  // namespace mercurial

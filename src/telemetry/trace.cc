@@ -233,7 +233,7 @@ void TraceRecorder::Wire(S& s, Io& io) {
              "trace snapshot shard count does not match the recorder");
   for (auto& ring : s.rings_) {
     io.U64(ring.head);
-    io.Seq(ring.slots, [&](auto& event) { WireTraceEvent(event, io); });
+    io.Seq(ring.slots, kTraceEventBytes, [&](auto& event) { WireTraceEvent(event, io); });
     io.Require(ring.slots.size() <= s.options_.ring_capacity,
                "trace snapshot ring exceeds ring_capacity");
     io.Require(ring.head < ring.slots.size() || (ring.head == 0 && ring.slots.empty()),
@@ -250,7 +250,7 @@ void TraceRecorder::WireDeltas(Deltas& deltas, size_t shards, Io& io) {
   io.Seq(deltas, [&](auto& delta) {
     io.U32(delta.shard);
     io.Require(delta.shard < shards, "trace tick delta names a shard out of range");
-    io.Seq(delta.inserted, [&](auto& event) { WireTraceEvent(event, io); });
+    io.Seq(delta.inserted, kTraceEventBytes, [&](auto& event) { WireTraceEvent(event, io); });
     // Absolutes, not deltas: replay overwrites these after applying the inserts, so a
     // recovered ring's sampling phase and conservation counters match exactly.
     for (auto& seen : delta.seen) {
@@ -302,13 +302,16 @@ void TraceRecorder::SaveDurableState(ByteWriter& w) const {
 }
 
 Status TraceRecorder::LoadDurableState(ByteReader& r) {
-  return WireLoad(r, *this, [](TraceRecorder& recorder, WireIn& in) {
-    Wire(recorder, in);
-    for (ShardRing& ring : recorder.rings_) {
-      ring.tick_log.clear();
-      ring.tick_dirty = false;
-    }
-  });
+  // The field list replaces every ring's events, sampling phase and counters, so it decodes
+  // into a recorder of this one's shape with empty rings (and empty tick logs) rather than into
+  // a copy of the live rings.
+  TraceRecorder empty(options_, /*core_count=*/1, shards());
+  empty.cores_per_shard_ = cores_per_shard_;
+  empty.context_time_seconds_ = context_time_seconds_;
+  empty.context_epoch_ = context_epoch_;
+  empty.log_ops_ = log_ops_;
+  return WireLoad(r, *this, std::move(empty),
+                  [](TraceRecorder& recorder, WireIn& in) { Wire(recorder, in); });
 }
 
 std::vector<uint8_t> SerializeTrace(const IncidentTrace& trace) {

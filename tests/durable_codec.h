@@ -3,7 +3,9 @@
 //
 //   * decoding a payload into a fresh unit and encoding it again gives the same bytes;
 //   * every strict prefix of a payload fails with DATA_LOSS — never OK, never an abort;
-//   * a unit whose decode failed still encodes to its previous bytes (all-or-nothing loads).
+//   * a unit whose decode failed still encodes to its previous bytes (all-or-nothing loads),
+//     both a fresh unit and one that already holds the driven state, so a load that resets the
+//     unit on failure is caught as well as one that keeps half a payload.
 
 #ifndef MERCURIAL_TESTS_DURABLE_CODEC_H_
 #define MERCURIAL_TESTS_DURABLE_CODEC_H_
@@ -41,12 +43,18 @@ void ExpectDurableCodecContract(const Unit& unit, const Unit& fresh) {
   EXPECT_EQ(SaveBytes(loaded), bytes) << "decode then encode must give the payload back";
 
   Unit target = fresh;
+  Unit driven = unit;
   for (size_t len = 0; len < bytes.size(); ++len) {
     ByteReader prefix(bytes.data(), len);
     ASSERT_EQ(target.LoadDurableState(prefix).code(), StatusCode::kDataLoss)
         << "prefix of " << len << " of " << bytes.size() << " bytes";
     ASSERT_EQ(SaveBytes(target), fresh_bytes)
         << "a failed load of " << len << " bytes changed the unit";
+    ByteReader driven_prefix(bytes.data(), len);
+    ASSERT_EQ(driven.LoadDurableState(driven_prefix).code(), StatusCode::kDataLoss)
+        << "prefix of " << len << " of " << bytes.size() << " bytes, into the driven unit";
+    ASSERT_EQ(SaveBytes(driven), bytes)
+        << "a failed load of " << len << " bytes changed the driven unit";
   }
 }
 

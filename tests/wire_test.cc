@@ -127,6 +127,17 @@ TEST(WireTest, SeqDecodesNoMoreThanThePayloadHolds) {
   in.Seq(items, [&](uint64_t& item) { in.U64(item); });
   EXPECT_EQ(in.status().code(), StatusCode::kDataLoss);
   EXPECT_LE(items.size(), 2u);
+
+  // Given the element's wire size, the vector reserves no more than the payload behind the
+  // count can hold: here 8 bytes, one u64.
+  constexpr size_t kElementBytes = 8;
+  ByteReader sized_reader(bytes.data(), bytes.size());
+  WireIn sized(sized_reader);
+  std::vector<uint64_t> reserved;
+  sized.Seq(reserved, kElementBytes, [&](uint64_t& item) { sized.U64(item); });
+  EXPECT_EQ(sized.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reserved, std::vector<uint64_t>{1});
+  EXPECT_LE(reserved.capacity(), (bytes.size() - 4) / kElementBytes);
 }
 
 // --- Stats-block and TraceEvent pins ----------------------------------------------------------
