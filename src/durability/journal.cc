@@ -33,33 +33,30 @@ bool ValidFrameType(uint8_t type) {
          type == static_cast<uint8_t>(JournalFrameType::kTickDelta);
 }
 
-// One valid frame of the durable prefix, located by ScanFrames.
-struct Frame {
-  JournalFrameType type = JournalFrameType::kHeader;
-  uint64_t tick = 0;
-  size_t payload_begin = 0;
-  size_t payload_len = 0;
-  size_t frame_end = 0;  // offset one past the CRC
-
-  ByteReader Payload(std::span<const uint8_t> image) const {
-    return ByteReader(image.data() + payload_begin, payload_len);
-  }
-};
-
 // The longest valid frame prefix of a journal image, and why the scan stopped there.
 struct FrameScan {
-  std::vector<Frame> frames;
+  std::vector<JournalFrame> frames;
   bool torn_tail = false;      // ended by a clipped frame
   bool corrupt_frame = false;  // ended by a CRC/type-invalid frame
   size_t snapshot = 0;         // index of the latest snapshot frame
 };
 
-// Scans the longest valid frame prefix; mutates nothing. Fails with DATA_LOSS when the prefix
-// does not open with a header frame of this magic and version, or holds no snapshot frame:
-// such an image proves no durable state at all.
-StatusOr<FrameScan> ScanFrames(std::span<const uint8_t> image) {
+// Scans the longest valid frame prefix; mutates nothing. Without `checked` the scan starts at
+// offset 0 and fails with DATA_LOSS when the prefix does not open with a header frame of this
+// magic and version, or holds no snapshot frame: such an image proves no durable state at all.
+// `checked` is a snapshot frame whose bytes, and every byte before it, an earlier scan of the
+// same unchanged prefix validated: the scan takes it as its first frame and checks only what
+// follows it.
+StatusOr<FrameScan> ScanFrames(std::span<const uint8_t> image,
+                               const std::optional<JournalFrame>& checked = std::nullopt) {
   FrameScan scan;
   size_t offset = 0;
+  if (checked.has_value()) {
+    MERCURIAL_CHECK(checked->type == JournalFrameType::kSnapshot);
+    MERCURIAL_CHECK_LE(checked->frame_end, image.size());
+    scan.frames.push_back(*checked);
+    offset = checked->frame_end;
+  }
   while (offset < image.size()) {
     if (image.size() - offset < kFrameOverheadBytes) {
       scan.torn_tail = true;
@@ -87,21 +84,23 @@ StatusOr<FrameScan> ScanFrames(std::span<const uint8_t> image) {
       scan.corrupt_frame = true;
       break;
     }
-    scan.frames.push_back(Frame{static_cast<JournalFrameType>(type), tick,
-                                offset + kFramePrefixBytes, payload_len, crc_offset + 4});
+    scan.frames.push_back(JournalFrame{static_cast<JournalFrameType>(type), tick,
+                                       offset + kFramePrefixBytes, payload_len, crc_offset + 4});
     offset = scan.frames.back().frame_end;
   }
 
-  if (scan.frames.empty() || scan.frames.front().type != JournalFrameType::kHeader) {
-    return DataLossError("journal has no valid header frame");
-  }
-  ByteReader header = scan.frames.front().Payload(image);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (Status s = header.GetU32(&magic); !s.ok()) return s;
-  if (Status s = header.GetU32(&version); !s.ok()) return s;
-  if (magic != kJournalMagic || version != kJournalVersion) {
-    return DataLossError("journal header magic/version mismatch");
+  if (!checked.has_value()) {
+    if (scan.frames.empty() || scan.frames.front().type != JournalFrameType::kHeader) {
+      return DataLossError("journal has no valid header frame");
+    }
+    ByteReader header = scan.frames.front().Payload(image);
+    uint32_t magic = 0;
+    uint32_t version = 0;
+    if (Status s = header.GetU32(&magic); !s.ok()) return s;
+    if (Status s = header.GetU32(&version); !s.ok()) return s;
+    if (magic != kJournalMagic || version != kJournalVersion) {
+      return DataLossError("journal header magic/version mismatch");
+    }
   }
   // Latest valid snapshot in the prefix wins.
   for (scan.snapshot = scan.frames.size(); scan.snapshot-- > 0;) {
@@ -120,7 +119,7 @@ StatusOr<JournalImageInfo> InspectJournalImage(const std::vector<uint8_t>& image
     return scan.status();
   }
   JournalImageInfo info;
-  for (const Frame& frame : scan->frames) {
+  for (const JournalFrame& frame : scan->frames) {
     if (frame.type == JournalFrameType::kSnapshot) {
       ++info.snapshots;
       info.snapshot_tick = frame.tick;
@@ -428,19 +427,20 @@ void DurabilityManager::RebuildCaches() {
 
 StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   // Classification of why the scan stopped (clean end, torn tail, corrupt frame) feeds the
-  // loss accounting.
-  StatusOr<FrameScan> scan = ScanFrames(image_.bytes());
+  // loss accounting. After this manager's first recovery the scan resumes at the end of the
+  // snapshot the last one restored (see checked_snapshot_); it stops where a full scan would.
+  StatusOr<FrameScan> scan = ScanFrames(image_.bytes(), checked_snapshot_);
   if (!scan.ok()) {
     return scan.status();
   }
-  const std::vector<Frame>& frames = scan->frames;
+  const std::vector<JournalFrame>& frames = scan->frames;
   const size_t snapshot_index = scan->snapshot;
 
   // A fresh manager recovering a journal image it did not write (the CLI path) has no write
   // stats; adopt the scanned prefix as the written history so conservation closes with zero
   // truncation attributed to the unknowable physical tail.
   if (stats_.frames_written == 0) {
-    for (const Frame& frame : frames) {
+    for (const JournalFrame& frame : frames) {
       ++stats_.frames_written;
       if (frame.type == JournalFrameType::kSnapshot) {
         ++stats_.snapshots_written;
@@ -506,8 +506,9 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
     ++stats_.corrupt_frames_rejected;
   }
 
-  // Manifest: last valid manifest frame in the prefix (there is exactly one in practice).
-  for (const Frame& frame : frames) {
+  // Manifest: last valid manifest frame in the prefix (there is exactly one in practice). A
+  // resumed scan starts past it, and recovered_manifest_ still holds it from the first scan.
+  for (const JournalFrame& frame : frames) {
     if (frame.type == JournalFrameType::kManifest) {
       const std::span<const uint8_t> manifest =
           image_.bytes().subspan(frame.payload_begin, frame.payload_len);
@@ -518,6 +519,7 @@ StatusOr<DurabilityManager::RecoveryResult> DurabilityManager::Recover() {
   // Truncate to the durable prefix: everything after the last valid frame is untrusted. The
   // write cursor continues from here — recovery rewinds the journal as well as the state.
   image_.Truncate(frames.back().frame_end);
+  checked_snapshot_ = frames[snapshot_index];
   last_snapshot_end_ = frames[snapshot_index].frame_end;
   tick_frames_at_last_snapshot_ = tick_frames_before;
   // Rewind the written-frame accounting to the durable prefix so post-recovery writes keep
@@ -549,6 +551,16 @@ void DurabilityManager::ReplaceBuffer(const std::vector<uint8_t>& bytes) {
   MERCURIAL_CHECK(!started_) << "ReplaceBuffer is for recovery on a fresh manager";
   image_.Truncate(0);
   image_.Append(bytes);
+  checked_snapshot_.reset();
+}
+
+std::vector<uint8_t> DurabilityManager::SaveUnits() const {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(bytes);
+  for (const Unit& unit : units_) {
+    unit.save(w);
+  }
+  return bytes;
 }
 
 void DurabilityManager::SyncFile() const {

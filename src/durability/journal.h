@@ -21,6 +21,10 @@
 //     snapshot at or before the prefix end, replays the tick frames after it, and truncates
 //     the journal to the durable prefix. Conservation holds at all times:
 //     frames_replayed + frames_truncated == tick frames written since that snapshot.
+//     A manager's first Recover() scans from offset 0; each later one resumes after the
+//     snapshot the previous recovery restored, because nothing can change the bytes up to it
+//     (see checked_snapshot_), so each journal byte is CRC-checked once per manager, not once
+//     per recovery. Every frame a recovery applies has still been checked by a scan.
 //
 // Frame envelope (little-endian): [u32 payload_len][u8 type][u64 tick][payload][u32 crc32],
 // with the CRC covering everything before it (length, type, tick, payload) — the same
@@ -36,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,6 +75,19 @@ struct JournalStats {
   // study wall time without a second run — run-to-run machine noise cancels out of a
   // same-process ratio. Pure observability: feeds no simulation state.
   uint64_t end_tick_nanos = 0;
+};
+
+// One CRC-checked frame of a journal image.
+struct JournalFrame {
+  JournalFrameType type = JournalFrameType::kHeader;
+  uint64_t tick = 0;
+  size_t payload_begin = 0;
+  size_t payload_len = 0;
+  size_t frame_end = 0;  // offset one past the CRC
+
+  ByteReader Payload(std::span<const uint8_t> image) const {
+    return ByteReader(image.data() + payload_begin, payload_len);
+  }
 };
 
 // Unit-free structural scan of a journal image: validates the framing and every CRC, and
@@ -149,11 +167,17 @@ class DurabilityManager {
   void FlipBit(size_t byte_offset, int bit);   // flips one bit inside the mutable tail
 
   // A copy of the journal bytes (tests and the CLI's re-run check). ReplaceBuffer installs an
-  // externally read journal image on a fresh manager before Recover().
+  // externally read journal image on a fresh manager before Recover(), which then scans it
+  // from offset 0.
   std::vector<uint8_t> buffer() const {
     return std::vector<uint8_t>(image_.bytes().begin(), image_.bytes().end());
   }
   void ReplaceBuffer(const std::vector<uint8_t>& bytes);
+
+  // Every registered unit's full serialization, in registration order, without writing a
+  // frame or draining an op log: tests and bench_recovery compare the state that separate
+  // recoveries restore.
+  std::vector<uint8_t> SaveUnits() const;
 
   // Manifest payload found during the last Recover() (empty before recovery).
   const std::vector<uint8_t>& recovered_manifest() const { return recovered_manifest_; }
@@ -220,6 +244,13 @@ class DurabilityManager {
   // frames, so the journal's bytes are resident in the image and at most one frame.
   std::vector<uint8_t> frame_;
   std::vector<uint8_t> recovered_manifest_;
+  // The snapshot the last Recover() restored. The frames up to and including it were CRC-checked
+  // by that recovery's scan, and their bytes cannot have changed since: TearTail and FlipBit
+  // CHECK that damage stays at or after mutable_tail_start(), which is this snapshot's end or a
+  // later snapshot's; Recover() truncates only at or after the snapshot it restores; and EndTick
+  // only appends. So the next Recover() resumes its scan at this frame's end. Empty before the
+  // first recovery and after ReplaceBuffer, which makes the next scan start at offset 0.
+  std::optional<JournalFrame> checked_snapshot_;
   size_t last_snapshot_end_ = 0;
   uint64_t tick_frames_at_last_snapshot_ = 0;
   bool started_ = false;

@@ -373,6 +373,95 @@ TEST(DurabilityTest, JournalKeepsEveryByteAcrossImageGrowth) {
   EXPECT_EQ(reader.buffer(), image);
 }
 
+// After its first recovery a manager resumes the frame scan at the end of the snapshot it last
+// restored. Each resumed recovery must agree with a full scan from offset 0 of the same image:
+// a fresh manager handed a copy of it by ReplaceBuffer. The tail is torn before some
+// recoveries and has a bit flipped before others, the flip moving through the tail's frames in
+// turn, the first frame after the remembered snapshot included.
+TEST(DurabilityTest, ResumedScanRecoversWhatAFullScanRecovers) {
+  ToyRegister reg;
+  ToyLog log;
+  DurabilityManager::Options options;
+  options.snapshot_every = 5;
+  DurabilityManager manager(options);
+  RegisterToyUnits(manager, reg, log);
+  ASSERT_TRUE(manager.Start(0, {'m'}).ok());
+
+  std::vector<size_t> frame_ends;  // journal size after each tick's frame, in write order
+  bool snapshot_since_recovery = false;
+  uint64_t flips = 0;
+  uint64_t first_frame_flips = 0;  // flips into the first frame after the remembered snapshot
+  uint64_t recoveries = 0;
+  uint64_t prefix_recoveries = 0;
+  for (uint64_t tick = 1; tick <= 240; ++tick) {
+    reg.value = 100 + tick / 2;  // unchanged on every other tick: no full-unit payload then
+    log.Append(tick);
+    const uint64_t snapshots = manager.stats().snapshots_written;
+    manager.EndTick(tick);
+    snapshot_since_recovery |= manager.stats().snapshots_written != snapshots;
+    frame_ends.push_back(manager.size());
+    if (tick % 3 != 0) {
+      continue;
+    }
+
+    // The frames of the mutable tail, which chaos may damage.
+    std::vector<size_t> tail_ends;
+    for (size_t end : frame_ends) {
+      if (end > manager.mutable_tail_start()) {
+        tail_ends.push_back(end);
+      }
+    }
+    const size_t tail = manager.size() - manager.mutable_tail_start();
+    if ((tick / 3) % 3 == 1 && tail > 0) {
+      manager.TearTail(1 + (tick * 7919) % tail);
+    } else if ((tick / 3) % 3 == 2 && !tail_ends.empty()) {
+      const size_t frame = flips++ % tail_ends.size();
+      const size_t begin = frame == 0 ? manager.mutable_tail_start() : tail_ends[frame - 1];
+      if (frame == 0 && !snapshot_since_recovery) {
+        ++first_frame_flips;
+      }
+      manager.FlipBit(begin + (tick * 31) % (tail_ends[frame] - begin), static_cast<int>(tick % 8));
+    }
+
+    const std::vector<uint8_t> image = manager.buffer();
+    ToyRegister full_reg;
+    ToyLog full_log;
+    DurabilityManager full(options);
+    RegisterToyUnits(full, full_reg, full_log);
+    full.ReplaceBuffer(image);
+    const StatusOr<DurabilityManager::RecoveryResult> expected = full.Recover();
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    const JournalStats before = manager.stats();
+    const StatusOr<DurabilityManager::RecoveryResult> resumed = manager.Recover();
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ++recoveries;
+    prefix_recoveries += resumed->exact ? 0 : 1;
+    SCOPED_TRACE("recovery at tick " + std::to_string(tick));
+    EXPECT_EQ(resumed->durable_tick, expected->durable_tick);
+    EXPECT_EQ(resumed->snapshot_tick, expected->snapshot_tick);
+    EXPECT_EQ(resumed->frames_replayed, expected->frames_replayed);
+    EXPECT_EQ(manager.stats().torn_tail_truncations - before.torn_tail_truncations,
+              full.stats().torn_tail_truncations);
+    EXPECT_EQ(manager.stats().corrupt_frames_rejected - before.corrupt_frames_rejected,
+              full.stats().corrupt_frames_rejected);
+    EXPECT_EQ(manager.buffer(), full.buffer()) << "the truncated images differ";
+    EXPECT_EQ(manager.SaveUnits(), full.SaveUnits()) << "the recovered units differ";
+    EXPECT_EQ(reg.value, full_reg.value);
+    EXPECT_EQ(log.entries, full_log.entries);
+
+    while (!frame_ends.empty() && frame_ends.back() > manager.size()) {
+      frame_ends.pop_back();
+    }
+    snapshot_since_recovery = false;
+  }
+  EXPECT_EQ(recoveries, 80u);
+  EXPECT_GT(prefix_recoveries, 20u) << "too few damaged tails to compare";
+  EXPECT_GT(first_frame_flips, 0u) << "no flip landed right after the remembered snapshot";
+  EXPECT_GT(manager.stats().torn_tail_truncations, 0u);
+  EXPECT_GT(manager.stats().corrupt_frames_rejected, 0u);
+}
+
 // --- Study-level recovery accounting regressions -----------------------------------------------
 
 // A compact study with the whole controller armed: chaos on the report pipeline, quorum +
