@@ -907,7 +907,8 @@ int CmdTrace(int argc, const char* const* argv) {
 
 int CmdInterrogate(int argc, const char* const* argv) {
   FlagSet flags;
-  flags.DefineString("defect", "vector_bit_flip", "defect class to plant (see `defects`)");
+  flags.DefineString("defect", "vector_bit_flip",
+                     "defect class to plant (see `defects`; empty = healthy core)");
   flags.DefineInt("iterations", 1024, "stress iterations per unit per attempt");
   flags.DefineInt("attempts", 3, "interrogation attempts");
   flags.DefineInt("seed", 7, "seed");
@@ -918,19 +919,24 @@ int CmdInterrogate(int argc, const char* const* argv) {
       !bad_count.ok()) {
     return RejectFlags(bad_count);
   }
-  const auto klass = FindDefectClass(flags.GetString("defect"));
-  if (!klass.ok()) {
-    return RejectFlags(klass.status());
-  }
-
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed")));
   SimCore core(1, rng.Split(1));
-  CatalogOptions catalog;
-  catalog.p_latent = 0.0;
-  const DefectSpec spec = DrawDefect(*klass, catalog, rng);
-  core.AddDefect(spec);
-  std::printf("planted: %s on unit %s (base rate %.2e)\n", spec.label.c_str(),
-              ExecUnitName(spec.unit), spec.fvt.base_rate);
+  // With no defect planted, a confession would be a false positive of the tester itself.
+  const std::string defect_name = flags.GetString("defect");
+  if (defect_name.empty()) {
+    std::printf("planted: no defect (healthy core)\n");
+  } else {
+    const auto klass = FindDefectClass(defect_name);
+    if (!klass.ok()) {
+      return RejectFlags(klass.status());
+    }
+    CatalogOptions catalog;
+    catalog.p_latent = 0.0;
+    const DefectSpec spec = DrawDefect(*klass, catalog, rng);
+    core.AddDefect(spec);
+    std::printf("planted: %s on unit %s (base rate %.2e)\n", spec.label.c_str(),
+                ExecUnitName(spec.unit), spec.fvt.base_rate);
+  }
 
   ConfessionOptions options;
   options.stress.iterations_per_unit = static_cast<uint64_t>(flags.GetInt("iterations"));
@@ -946,8 +952,10 @@ int CmdInterrogate(int argc, const char* const* argv) {
     std::printf("\n");
     return 0;
   }
-  std::printf("no confession after %d attempts (%llu ops) — limited reproducibility\n",
-              confession.attempts, static_cast<unsigned long long>(confession.ops_used));
+  std::printf("no confession after %d attempts (%llu ops) — %s\n", confession.attempts,
+              static_cast<unsigned long long>(confession.ops_used),
+              defect_name.empty() ? "none expected of a healthy core"
+                                  : "limited reproducibility");
   return 0;
 }
 
